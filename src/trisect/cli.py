@@ -34,7 +34,7 @@ from .diagram import (
     InvalidDiagramError,
     TrisectionDiagram,
     first_homology,
-    intersection_triple,
+    require_valid,
     signature,
     validate,
 )
@@ -61,6 +61,17 @@ class DiagramParseError(ValueError):
     def __init__(self, message: str, line: int):
         self.line = line
         super().__init__(f"line {line}: {message}")
+
+
+def _int_row(tokens: Sequence[str], number: int) -> list[int]:
+    """The integers of one line; a parse error on a bad or overlong token."""
+    for tok in tokens:
+        if not _INT.match(tok):
+            raise DiagramParseError(f"invalid integer {tok!r}", number)
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise DiagramParseError("integer has too many digits", number) from None
 
 
 def _logical_lines(text: str) -> list[tuple[int, str]]:
@@ -100,7 +111,7 @@ def parse_diagram(text: str) -> TrisectionDiagram:
     tokens = content.split()
     if len(tokens) != 2 or tokens[0] != "genus" or not _INT.match(tokens[1]):
         raise DiagramParseError("expected 'genus <integer>'", number)
-    g = int(tokens[1])
+    (g,) = _int_row(tokens[1:], number)
     if g < 0:
         raise DiagramParseError("genus must be nonnegative", number)
 
@@ -120,10 +131,7 @@ def parse_diagram(text: str) -> TrisectionDiagram:
                     f"{label} row {r + 1}: expected {2 * g} entries, found {len(tokens)}",
                     number,
                 )
-            for tok in tokens:
-                if not _INT.match(tok):
-                    raise DiagramParseError(f"invalid integer {tok!r}", number)
-            rows.append([int(tok) for tok in tokens])
+            rows.append(_int_row(tokens, number))
         systems.append(rows)
 
     if pos < len(lines):
@@ -148,17 +156,12 @@ def parse_int_matrix(text: str) -> IntMatrix:
     rows = []
     width = None
     for number, content in _logical_lines(text):
-        tokens = content.split()
-        for tok in tokens:
-            if not _INT.match(tok):
-                raise DiagramParseError(f"invalid integer {tok!r}", number)
+        row = _int_row(content.split(), number)
         if width is None:
-            width = len(tokens)
-        elif len(tokens) != width:
-            raise DiagramParseError(
-                f"expected {width} entries, found {len(tokens)}", number
-            )
-        rows.append([int(tok) for tok in tokens])
+            width = len(row)
+        elif len(row) != width:
+            raise DiagramParseError(f"expected {width} entries, found {len(row)}", number)
+        rows.append(row)
     return IntMatrix(rows, cols=width or 0)
 
 
@@ -194,11 +197,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_invariants(args) -> int:
     d = _load_diagram(args.file)
-    report = validate(d)
-    if not report.valid:
-        for f in report.failures:
-            print(f"invalid: {f}", file=sys.stderr)
-        return 1
+    report = require_valid(d)
     g, k = d.genus, report.k
     print(f"g={g}")
     print(f"k={k}")
@@ -206,7 +205,7 @@ def _cmd_invariants(args) -> int:
     print(f"sigma={signature(d)}")
     print(f"H1={first_homology(d)}")
     print(f"handles={1},{k},{g - k},{k},{1}")
-    triple = intersection_triple(d)
+    triple = report.triple
     print(f"Q_alpha_beta={_fmt_matrix(triple.q_ab)}")
     print(f"Q_beta_gamma={_fmt_matrix(triple.q_bc)}")
     print(f"Q_gamma_alpha={_fmt_matrix(triple.q_ca)}")
@@ -384,10 +383,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         for failure in exc.report.failures:
             print(f"invalid: {failure}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, IndexError, TypeError) as exc:
+    except (OSError, ValueError, IndexError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,10 +12,16 @@ pair of systems to present a connected sum of k copies of S^1 x S^2:
     pairwise omega-orthogonal);
   * each pairwise intersection matrix q must have all nonzero invariant
     factors equal to 1;
-  * the first homology of the double determined by each pair, the
-    cokernel of the stacked 2g x 2g matrix, must be free of rank
-    k = g - rank(q);
+  * the first homology of the double determined by each pair must be
+    free of rank k = g - rank(q);
   * the three per-pair values of k must agree.
+
+Past the per-system checks, everything is read off the intersection
+triple (Feller, Klug, Schirmer and Zemke, PNAS 2018, arXiv:1711.04762):
+the double of a Lagrangian pair has H_1 = coker(q), so the stacked 2g x 2g
+class matrix is reduced only to diagnose a pair with a failing system;
+H_1 of the manifold is coker[q_ba; q_ca]; and the signature is that of
+-Z @ q_cb @ Y^T, where [Y | Z] spans the left kernel of [q_ba; q_ca].
 
 These conditions are necessary but not sufficient: deciding whether a
 Heegaard diagram really presents a connected sum of copies of S^1 x S^2
@@ -26,14 +32,14 @@ homological obstruction", not a geometric certificate.  Reports say so.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 from .intlin import IntMatrix, invariant_factors
 from .symplectic import (
     LagrangianSublattice,
-    is_lagrangian,
-    maslov_index,
-    omega,
+    first_nonisotropic,
+    pairing_maslov_index,
     pairing_matrix,
 )
 
@@ -117,6 +123,10 @@ class TrisectionDiagram:
         except ValueError:
             raise ValueError(f"unknown system label {label!r}") from None
 
+    @cached_property
+    def _report(self) -> "ValidationReport":
+        return validate(self)
+
 
 @dataclass(frozen=True)
 class IntersectionTriple:
@@ -174,6 +184,7 @@ class ValidationReport:
     k: int | None
     euler: int | None
     failures: tuple[str, ...]
+    triple: IntersectionTriple
 
     def system(self, label: str) -> SystemReport:
         return self.systems[LABELS.index(label)]
@@ -235,7 +246,7 @@ def validate(d: TrisectionDiagram) -> ValidationReport:
         rank = sum(1 for e in facs if e)
         full_rank = rank == g
         primitive = all(e == 1 for e in facs)
-        bad = _first_nonisotropic(sys.classes)
+        bad = first_nonisotropic(sys.classes)
         isotropic = bad is None
         sys_reports.append(SystemReport(sys.label, full_rank, primitive, isotropic))
         if not full_rank:
@@ -252,18 +263,22 @@ def validate(d: TrisectionDiagram) -> ValidationReport:
                 f"omega({sys.label}_{i + 1}, {sys.label}_{j + 1}) = {val}"
             )
 
+    triple = intersection_triple(d)
     pair_reports = []
     ks = []
-    for left, right in ((d.alpha, d.beta), (d.beta, d.gamma), (d.gamma, d.alpha)):
+    for (l, r), q in zip(((0, 1), (1, 2), (2, 0)), (triple.q_ab, triple.q_bc, triple.q_ca)):
+        left, right = d.systems[l], d.systems[r]
         pair = f"{left.label}-{right.label}"
-        q = pairing_matrix(left.classes, right.classes)
         qfacs = invariant_factors(q)
         k = g - sum(1 for e in qfacs if e)
         unit = all(e in (0, 1) for e in qfacs)
-        stacked_facs = invariant_factors(left.classes.vstack(right.classes))
-        torsion = tuple(e for e in stacked_facs if e > 1)
+        if sys_reports[l].ok and sys_reports[r].ok:  # the double's H_1 is coker(q)
+            facs, double_rank = qfacs, k
+        else:
+            facs = invariant_factors(left.classes.vstack(right.classes))
+            double_rank = 2 * g - sum(1 for e in facs if e)
+        torsion = tuple(e for e in facs if e > 1)
         double_free = not torsion
-        double_rank = 2 * g - sum(1 for e in stacked_facs if e)
         pair_reports.append(PairReport(pair, qfacs, unit, double_free, double_rank, k))
         ks.append(k)
         if not unit:
@@ -299,17 +314,8 @@ def validate(d: TrisectionDiagram) -> ValidationReport:
         k=k,
         euler=euler,
         failures=tuple(failures),
+        triple=triple,
     )
-
-
-def _first_nonisotropic(classes: IntMatrix):
-    rows = classes.entries
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            val = omega(rows[i], rows[j])
-            if val != 0:
-                return (i, j, val)
-    return None
 
 
 def _fmt_factors(facs: Sequence[int]) -> str:
@@ -317,8 +323,8 @@ def _fmt_factors(facs: Sequence[int]) -> str:
 
 
 def require_valid(d: TrisectionDiagram) -> ValidationReport:
-    """Validate and raise InvalidDiagramError when any check fails."""
-    report = validate(d)
+    """The diagram's report, computed once per object; raise InvalidDiagramError if invalid."""
+    report = d._report
     if not report.valid:
         raise InvalidDiagramError(report)
     return report
@@ -326,14 +332,12 @@ def require_valid(d: TrisectionDiagram) -> ValidationReport:
 
 def parameters(d: TrisectionDiagram) -> tuple[int, int]:
     """The pair (g, k) of a valid diagram."""
-    report = require_valid(d)
-    return (d.genus, report.k)
+    return (d.genus, require_valid(d).k)
 
 
 def euler_characteristic(d: TrisectionDiagram) -> int:
     """chi = 2 + g - 3k of the closed 4-manifold the diagram presents."""
-    g, k = parameters(d)
-    return 2 + g - 3 * k
+    return require_valid(d).euler
 
 
 def handle_counts(d: TrisectionDiagram) -> tuple[int, int, int, int, int]:
@@ -357,16 +361,17 @@ def lagrangian_triple(
     """The three Lagrangian sublattices spanned by the systems."""
     out = []
     for sys in d.systems:
-        if not is_lagrangian(sys.classes):
-            raise ValueError(f"{sys.label} system is not a Lagrangian basis")
-        out.append(LagrangianSublattice(d.genus, sys.classes))
+        try:
+            out.append(LagrangianSublattice(d.genus, sys.classes))
+        except ValueError:
+            raise ValueError(f"{sys.label} system is not a Lagrangian basis") from None
     return tuple(out)
 
 
 def signature(d: TrisectionDiagram) -> int:
     """Signature of the presented 4-manifold: the Maslov index of the triple."""
-    require_valid(d)
-    return maslov_index(*lagrangian_triple(d))
+    t = require_valid(d).triple
+    return pairing_maslov_index(t.q_ab, t.q_bc, t.q_ca)
 
 
 @dataclass(frozen=True)
@@ -390,12 +395,10 @@ class FirstHomology:
 
 
 def first_homology(d: TrisectionDiagram) -> FirstHomology:
-    """H_1 of the presented manifold: Z^(2g) modulo all three spans."""
-    require_valid(d)
-    stacked = d.alpha.classes.vstack(d.beta.classes).vstack(d.gamma.classes)
-    facs = invariant_factors(stacked)
-    rank = sum(1 for e in facs if e)
+    """H_1 of the presented manifold: Z^(2g) mod all three spans = coker[q_ba; q_ca]."""
+    t = require_valid(d).triple
+    facs = invariant_factors((-t.q_ab.transpose()).vstack(t.q_ca))
     return FirstHomology(
-        free_rank=2 * d.genus - rank,
+        free_rank=d.genus - sum(1 for e in facs if e),
         torsion=tuple(e for e in facs if e > 1),
     )

@@ -83,14 +83,18 @@ def is_lagrangian(basis: IntMatrix) -> bool:
         raise ValueError("ambient rank must be even")
     if 2 * basis.rows != basis.cols:
         raise ValueError(f"expected {basis.cols // 2} rows, got {basis.rows}")
-    if not is_primitive(basis):
-        return False
-    rows = basis.entries
-    return all(
-        omega(rows[i], rows[j]) == 0
-        for i in range(len(rows))
-        for j in range(i + 1, len(rows))
-    )
+    return is_primitive(basis) and first_nonisotropic(basis) is None
+
+
+def first_nonisotropic(rows: IntMatrix) -> tuple[int, int, int] | None:
+    """The first (i, j, omega(r_i, r_j)) with i < j and a nonzero pairing."""
+    r = rows.entries
+    for i in range(len(r)):
+        for j in range(i + 1, len(r)):
+            val = omega(r[i], r[j])
+            if val != 0:
+                return (i, j, val)
+    return None
 
 
 @dataclass(frozen=True)
@@ -164,26 +168,24 @@ def maslov_index(l1, l2, l3) -> int:
     Arguments may be LagrangianSublattice values or g x 2g IntMatrix
     bases (which are then checked).  The index is the signature of the
     symmetric form psi((a,b,c), (a',b',c')) = omega(a, b') on the lattice
-    w = {(a,b,c) : a + b + c = 0}; w is realized as the left kernel of
-    the stacked basis matrix [b1; b2; b3], on which psi has Gram matrix
-    w_a @ q12 @ w_b^T for the three column blocks of the kernel rows.
+    w = {(a,b,c) : a + b + c = 0}.  It depends only on the pairing matrices
+    q_xy = pairing_matrix(x, y) (Feller, Klug, Schirmer and Zemke, PNAS
+    2018): pairing with the basis of l1 identifies Z^(2g) / l1 with Z^g, so
+    the coordinates (y, z) of b and c in the bases of l2 and l3 map w onto
+    the left kernel of [q21; q31].  With [Y | Z] a basis of that kernel,
+    psi has Gram matrix -Z @ q32 @ Y^T = Z @ q23^T @ Y^T.
     """
-    ls = [_as_lagrangian(x) for x in (l1, l2, l3)]
-    g = ls[0].genus
-    if any(l.genus != g for l in ls):
-        raise ValueError("genus mismatch between Lagrangians")
-    if g == 0:
-        return 0
-    stacked = ls[0].basis.vstack(ls[1].basis).vstack(ls[2].basis)
-    ker = left_kernel_basis(stacked)
-    if ker.rows == 0:
-        return 0
-    part_a = ker.submatrix(0, ker.rows, 0, g)
-    part_b = ker.submatrix(0, ker.rows, g, 2 * g)
-    q12 = pairing_matrix(ls[0].basis, ls[1].basis)
-    gram = part_a @ q12 @ part_b.transpose()
-    assert gram == gram.transpose(), "triple form must be symmetric"
-    n_pos, n_neg, _ = symmetric_signature(gram)
+    a, b, c = (_as_lagrangian(x) for x in (l1, l2, l3))
+    return pairing_maslov_index(pairing_matrix(a, b), pairing_matrix(b, c), pairing_matrix(c, a))
+
+
+def pairing_maslov_index(q12: IntMatrix, q23: IntMatrix, q31: IntMatrix) -> int:
+    """maslov_index from the pairing matrices of a triple known to be Lagrangian."""
+    g = q12.rows
+    ker = left_kernel_basis((-q12.transpose()).vstack(q31))
+    y = ker.submatrix(0, ker.rows, 0, g)
+    z = ker.submatrix(0, ker.rows, g, 2 * g)
+    n_pos, n_neg, _ = symmetric_signature(z @ q23.transpose() @ y.transpose())
     return n_pos - n_neg
 
 
