@@ -18,8 +18,9 @@ pair of systems to present a connected sum of k copies of S^1 x S^2:
 
 Past the per-system checks, everything is read off the intersection
 triple (Feller, Klug, Schirmer and Zemke, PNAS 2018, arXiv:1711.04762):
-the double of a Lagrangian pair has H_1 = coker(q), so the stacked 2g x 2g
-class matrix is reduced only to diagnose a pair with a failing system;
+the double of a pair with at least one Lagrangian system has H_1 =
+coker(q), so the stacked 2g x 2g class matrix is reduced only to diagnose
+a pair in which both systems fail;
 H_1 of the manifold is coker[q_ba; q_ca]; and the signature is that of
 -Z @ q_cb @ Y^T, where [Y | Z] spans the left kernel of [q_ba; q_ca].
 
@@ -272,7 +273,7 @@ def validate(d: TrisectionDiagram) -> ValidationReport:
         qfacs = invariant_factors(q)
         k = g - sum(1 for e in qfacs if e)
         unit = all(e in (0, 1) for e in qfacs)
-        if sys_reports[l].ok and sys_reports[r].ok:  # the double's H_1 is coker(q)
+        if sys_reports[l].ok or sys_reports[r].ok:  # the double's H_1 is coker(q)
             facs, double_rank = qfacs, k
         else:
             facs = invariant_factors(left.classes.vstack(right.classes))
@@ -328,6 +329,45 @@ def require_valid(d: TrisectionDiagram) -> ValidationReport:
     if not report.valid:
         raise InvalidDiagramError(report)
     return report
+
+
+def carry_sum_report(
+    total: TrisectionDiagram, d1: TrisectionDiagram, d2: TrisectionDiagram
+) -> None:
+    """Give total, the block direct sum of d1 and d2, its report without validating it.
+
+    Only when both summands already carry a valid report: the sum is then
+    valid by construction, genus and k add, each q has g - k unit factors
+    and k zeros, and the triple is the block diagonal of the two triples.
+    Otherwise total is left to be validated in full when first needed.
+    """
+    r1, r2 = vars(d1).get("_report"), vars(d2).get("_report")
+    if r1 is None or r2 is None or not (r1.valid and r2.valid):
+        return
+    g, k = r1.genus + r2.genus, r1.k + r2.k
+    t1, t2 = r1.triple, r2.triple
+    q_factors = (1,) * (g - k) + (0,) * k
+    vars(total)["_report"] = ValidationReport(  # the cached_property's slot
+        genus=g,
+        systems=tuple(SystemReport(label, True, True, True) for label in LABELS),
+        pairs=tuple(PairReport(p.pair, q_factors, True, True, k, k) for p in r1.pairs),
+        k_agree=True,
+        valid=True,
+        k=k,
+        euler=2 + g - 3 * k,
+        failures=(),
+        triple=IntersectionTriple(
+            _block_diagonal(t1.q_ab, t2.q_ab),
+            _block_diagonal(t1.q_bc, t2.q_bc),
+            _block_diagonal(t1.q_ca, t2.q_ca),
+        ),
+    )
+
+
+def _block_diagonal(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    rows = [r + (0,) * b.cols for r in a.entries]
+    rows += [(0,) * a.cols + r for r in b.entries]
+    return IntMatrix(rows, cols=a.cols + b.cols)
 
 
 def parameters(d: TrisectionDiagram) -> tuple[int, int]:

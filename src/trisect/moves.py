@@ -27,6 +27,7 @@ from .diagram import (
     LABELS,
     CurveSystem,
     TrisectionDiagram,
+    carry_sum_report,
     euler_characteristic,
     first_homology,
     parameters,
@@ -87,6 +88,11 @@ def direct_sum(
     blocks of x and y, each class of d2 moves to the complementary
     blocks.  connect_sum is this plus the requirement that both inputs
     are valid.
+
+    Validates nothing.  When both summands already carry a valid report
+    (each diagram object keeps the report of its first validation), the
+    sum carries one built from theirs and is never validated; otherwise
+    it carries none and is validated in full when first needed.
     """
     g1, g2 = d1.genus, d2.genus
     g = g1 + g2
@@ -99,18 +105,24 @@ def direct_sum(
             rows.append((0,) * g1 + r[:g2] + (0,) * g1 + r[g2:])
         return CurveSystem(g, IntMatrix(rows, cols=2 * g), label)
 
-    return TrisectionDiagram(
+    d = TrisectionDiagram(
         g,
         embed(d1.alpha, d2.alpha, "alpha"),
         embed(d1.beta, d2.beta, "beta"),
         embed(d1.gamma, d2.gamma, "gamma"),
         name=name,
     )
+    carry_sum_report(d, d1, d2)
+    return d
 
 
 def connect_sum(d1: TrisectionDiagram, d2: TrisectionDiagram) -> TrisectionDiagram:
     """Connected sum of two valid diagrams; (g, k) and chi behave additively:
-    g = g1 + g2, k = k1 + k2, chi = chi1 + chi2 - 2."""
+    g = g1 + g2, k = k1 + k2, chi = chi1 + chi2 - 2.
+
+    Validates each input that carries no report yet; the sum carries its
+    report, so it is never validated.
+    """
     require_valid(d1)
     require_valid(d2)
     return direct_sum(d1, d2)
@@ -143,14 +155,21 @@ def stabilization_block() -> TrisectionDiagram:
     )
 
 
+# validated once, at import, so that every stabilization carries a report
+_BLOCK = stabilization_block()
+require_valid(_BLOCK)
+
+
 def stabilize(d: TrisectionDiagram) -> TrisectionDiagram:
     """Connected sum with the standard genus-3 4-sphere diagram.
 
     Takes (g, k) to (g + 3, k + 1) and preserves chi, signature and
-    first homology.
+    first homology.  Validates d only if it carries no report yet; the
+    result carries its report, so a chain of stabilizations validates
+    its input once.
     """
     require_valid(d)
-    return direct_sum(d, stabilization_block())
+    return direct_sum(d, _BLOCK)
 
 
 def apply_diffeomorphism(d: TrisectionDiagram, s: IntMatrix) -> TrisectionDiagram:
