@@ -25,6 +25,7 @@ budget exhausted (unknown).
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from typing import Sequence
@@ -299,6 +300,7 @@ def _cmd_params(args) -> int:
     return 0
 
 
+@functools.cache  # built on the first run(); parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trisect",

@@ -14,7 +14,11 @@ The moves that preserve the presented 4-manifold are:
 bounded budget: it never stabilizes and never searches the
 diffeomorphism orbit, so its negative answers are "distinct by
 invariant" (a certificate) or "unknown" (budget exhausted), never a
-claim of inequivalence.
+claim of inequivalence.  A slide touches the classes of one system
+only, so the slide orbit is a product of three per-system orbits, and
+the search runs on triples of per-system state ids rather than on
+diagrams; it visits the same nodes in the same order as a search over
+diagrams would, so verdicts and certificates are the same.
 """
 
 from __future__ import annotations
@@ -250,6 +254,19 @@ def _all_moves(g: int) -> Iterator[SlideMove]:
                     yield SlideMove(system, target, source, sign)
 
 
+def _slid_rows(rows: tuple[tuple[int, ...], ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The class rows of one system after each slide, in move order."""
+    g = len(rows)
+    for target in range(g):
+        head, row, tail = rows[:target], rows[target], rows[target + 1 :]
+        for source in range(g):
+            if target == source:
+                continue
+            other = rows[source]
+            yield head + (tuple(a + b for a, b in zip(row, other)),) + tail
+            yield head + (tuple(a - b for a, b in zip(row, other)),) + tail
+
+
 def compare(
     d1: TrisectionDiagram,
     d2: TrisectionDiagram,
@@ -265,6 +282,14 @@ def compare(
     d1 looks for d2: max_depth bounds the certificate length and
     max_nodes bounds the number of distinct diagrams visited.  The
     search is deterministic, so equal inputs always give equal verdicts.
+
+    A search node is a triple of ids, one per system, each naming a
+    tuple of class rows in a table interned for this search.  This is
+    exact: a slide changes the rows of one system only, and which rows
+    it yields depends on those rows alone, so the slides of a row tuple
+    are computed once, on first use, and a node's successors are the
+    node with one id replaced, in move order (system, target, source,
+    sign).  Two nodes are equal iff their diagrams are.
     """
     for name, fn in _INVARIANT_CHECKS:  # the first check requires validity
         a, b = fn(d1), fn(d2)
@@ -273,26 +298,64 @@ def compare(
     if d1 == d2:
         return EquivalenceVerdict(IDENTICAL)
 
-    visited = {d1}
-    frontier: list[tuple[TrisectionDiagram, tuple[SlideMove, ...]]] = [(d1, ())]
+    ids: dict[tuple[tuple[int, ...], ...], int] = {}
+    rows_of: list[tuple[tuple[int, ...], ...]] = []
+    slid: list[list[int] | None] = []
+
+    def intern(rows):
+        i = ids.get(rows)
+        if i is None:
+            i = ids[rows] = len(rows_of)
+            rows_of.append(rows)
+            slid.append(None)
+        return i
+
+    def successors(i):
+        out = slid[i]
+        if out is None:
+            out = slid[i] = [intern(rows) for rows in _slid_rows(rows_of[i])]
+        return out
+
+    start = tuple(intern(s.classes.entries) for s in d1.systems)
+    goal = tuple(intern(s.classes.entries) for s in d2.systems)
+    # each visited node maps to (the node it was first reached from, move index)
+    parent: dict[tuple[int, int, int], tuple | None] = {start: None}
+    frontier = [start]
     nodes = 1
     for _ in range(max_depth):
         next_frontier = []
-        for d, path in frontier:
-            for move in _all_moves(d.genus):
-                nd = handle_slide(d, move)
-                if nd in visited:
+        for node in frontier:
+            a, b, c = node
+            children = (
+                [(x, b, c) for x in successors(a)]
+                + [(a, x, c) for x in successors(b)]
+                + [(a, b, x) for x in successors(c)]
+            )
+            for k, nd in enumerate(children):
+                if nd in parent:
                     continue
-                visited.add(nd)
+                parent[nd] = (node, k)
                 nodes += 1
-                if nd == d2:
+                if nd == goal:
                     return EquivalenceVerdict(
-                        SLIDE_EQUIVALENT, certificate=path + (move,)
+                        SLIDE_EQUIVALENT, certificate=_certificate(parent, nd, d1.genus)
                     )
                 if nodes >= max_nodes:
                     return EquivalenceVerdict(UNKNOWN)
-                next_frontier.append((nd, path + (move,)))
+                next_frontier.append(nd)
         frontier = next_frontier
         if not frontier:
             break
     return EquivalenceVerdict(UNKNOWN)
+
+
+def _certificate(parent, node, g: int) -> tuple[SlideMove, ...]:
+    """The moves along the recorded search path from the start to node."""
+    moves = tuple(_all_moves(g))
+    path = []
+    step = parent[node]
+    while step is not None:
+        node, k = step
+        path.append(moves[k])
+        step = parent[node]
+    return tuple(reversed(path))
