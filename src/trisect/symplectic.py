@@ -15,6 +15,7 @@ has index +1, which normalizes the sign for the whole package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 import random
@@ -89,12 +90,21 @@ def is_lagrangian(basis: IntMatrix) -> bool:
 def first_nonisotropic(rows: IntMatrix) -> tuple[int, int, int] | None:
     """The first (i, j, omega(r_i, r_j)) with i < j and a nonzero pairing."""
     r = rows.entries
+    if len(r) > 1 and rows.cols % 2:
+        raise ValueError("vectors must have even length")
+    duals = _duals(rows)
     for i in range(len(r)):
         for j in range(i + 1, len(r)):
-            val = omega(r[i], r[j])
+            val = sum(map(mul, r[i], duals[j]))
             if val != 0:
                 return (i, j, val)
     return None
+
+
+def _duals(m: IntMatrix) -> list[tuple[int, ...]]:
+    """Each row v = (v_x, v_y) as (v_y, -v_x), so omega(u, v) = u . dual(v)."""
+    g = m.cols // 2
+    return [v[g:] + tuple(-e for e in v[:g]) for v in m.entries]
 
 
 @dataclass(frozen=True)
@@ -147,19 +157,23 @@ def pairing_matrix(left, right) -> IntMatrix:
         raise ValueError("ambient genus mismatch")
     if a.cols % 2:
         raise ValueError("ambient rank must be even")
+    duals = _duals(b)
     return IntMatrix(
-        [[omega(ra, rb) for rb in b.entries] for ra in a.entries], cols=b.rows
+        [[sum(map(mul, ra, db)) for db in duals] for ra in a.entries], cols=b.rows
     )
 
 
 def is_symplectic(s: IntMatrix) -> bool:
-    """Whether s preserves omega under the right action v -> v @ s."""
+    """Whether s preserves omega under the right action v -> v @ s.
+
+    That is s @ j @ s^T == j, whose (i, j) entry is omega(s_i, s_j): the
+    rows of s pair as the standard basis does.
+    """
     if s.rows != s.cols:
         raise ValueError("matrix must be square")
     if s.rows % 2:
         raise ValueError("matrix rank must be even")
-    j = SymplecticLattice(s.rows // 2).form_matrix()
-    return s @ j @ s.transpose() == j
+    return pairing_matrix(s, s) == SymplecticLattice(s.rows // 2).form_matrix()
 
 
 def maslov_index(l1, l2, l3) -> int:

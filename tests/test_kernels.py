@@ -1,0 +1,338 @@
+"""The Smith-form and pairing kernels agree entry for entry with the
+formulas they replaced, and `trisect invariants` makes no per-pair
+`omega` call.
+
+The oracle keeps the replaced code: the Smith form that updated v column by
+column and cleared the pivot row by whole-column operations, pairings
+through `omega`, `is_symplectic` as s @ j @ s^T == j, and the matrix
+product that built each column by index.
+"""
+
+import contextlib
+import io
+import random
+import sys
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import trisect
+from trisect import (
+    IntMatrix,
+    SymplecticLattice,
+    builtin,
+    connect_sum,
+    is_symplectic,
+    omega,
+    pairing_matrix,
+    random_symplectic,
+    snf,
+)
+from trisect.cli import run, serialize_diagram
+from trisect.intlin import SmithDecomposition
+from trisect.symplectic import _rows_of, first_nonisotropic
+
+from helpers import random_valid_diagram, shuffle_diagram
+
+MAX_GENUS = 9
+
+
+def oracle_snf(m: IntMatrix) -> SmithDecomposition:
+    nr, nc = m.rows, m.cols
+    a = [list(r) for r in m.entries]
+    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
+    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(i, j, q):
+        # row_i += q * row_j
+        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
+        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+
+    def add_col(i, j, q):
+        # col_i += q * col_j
+        for row in a:
+            row[i] += q * row[j]
+        for row in v:
+            row[i] += q * row[j]
+
+    def negate_row(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+
+    t = 0
+    limit = min(nr, nc)
+    while t < limit:
+        piv = None
+        for i in range(t, nr):
+            for j in range(t, nc):
+                e = a[i][j]
+                if e != 0 and (piv is None or abs(e) < abs(a[piv[0]][piv[1]])):
+                    piv = (i, j)
+        if piv is None:
+            break
+        if piv[0] != t:
+            swap_rows(t, piv[0])
+        if piv[1] != t:
+            swap_cols(t, piv[1])
+        if a[t][t] < 0:
+            negate_row(t)
+
+        while True:
+            restart = False
+            for i in range(t + 1, nr):
+                if a[i][t]:
+                    q, r = divmod(a[i][t], a[t][t])
+                    add_row(i, t, -q)
+                    if r:
+                        # the remainder is a strictly smaller pivot
+                        swap_rows(t, i)
+                        restart = True
+                        break
+            if restart:
+                continue
+            for j in range(t + 1, nc):
+                if a[t][j]:
+                    q, r = divmod(a[t][j], a[t][t])
+                    add_col(j, t, -q)
+                    if r:
+                        swap_cols(t, j)
+                        restart = True
+                        break
+            if restart:
+                continue
+            break
+
+        p = a[t][t]
+        offender = None
+        for i in range(t + 1, nr):
+            if any(a[i][j] % p for j in range(t + 1, nc)):
+                offender = i
+                break
+        if offender is not None:
+            # pull the offending row into the pivot row; re-reducing
+            # shrinks the pivot toward the gcd of the trailing block
+            add_row(t, offender, 1)
+            continue
+        t += 1
+
+    return SmithDecomposition(
+        IntMatrix(a, cols=nc), IntMatrix(u, cols=nr), IntMatrix(v, cols=nc)
+    )
+
+
+def oracle_first_nonisotropic(rows: IntMatrix):
+    r = rows.entries
+    for i in range(len(r)):
+        for j in range(i + 1, len(r)):
+            val = omega(r[i], r[j])
+            if val != 0:
+                return (i, j, val)
+    return None
+
+
+def oracle_pairing_matrix(left, right) -> IntMatrix:
+    a = _rows_of(left)
+    b = _rows_of(right)
+    if a.cols != b.cols:
+        raise ValueError("ambient genus mismatch")
+    if a.cols % 2:
+        raise ValueError("ambient rank must be even")
+    return IntMatrix(
+        [[omega(ra, rb) for rb in b.entries] for ra in a.entries], cols=b.rows
+    )
+
+
+def oracle_is_symplectic(s: IntMatrix) -> bool:
+    if s.rows != s.cols:
+        raise ValueError("matrix must be square")
+    if s.rows % 2:
+        raise ValueError("matrix rank must be even")
+    j = SymplecticLattice(s.rows // 2).form_matrix()
+    return s @ j @ s.transpose() == j
+
+
+def oracle_matmul(self: IntMatrix, other: IntMatrix) -> IntMatrix:
+    if not isinstance(other, IntMatrix):
+        return NotImplemented
+    if self.cols != other.rows:
+        raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
+    cols = [tuple(r[j] for r in other.entries) for j in range(other.cols)]
+    return IntMatrix(
+        [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in self.entries],
+        cols=other.cols,
+    )
+
+
+seeds = st.integers(min_value=0, max_value=10**6)
+
+
+@st.composite
+def matrices(draw, rows=None, max_side=10):
+    """Sparse or dense integer matrices of shape 0..max_side (or the given
+    number of rows), entries up to a drawn bound between 1 and 10^6,
+    optionally with a row tripled or made dependent on two others, so that
+    non-unit pivots and the divisibility fix-up run."""
+    nr = draw(st.integers(0, max_side)) if rows is None else rows
+    nc = draw(st.integers(0, max_side))
+    bound = draw(st.sampled_from((1, 2, 3, 9, 1000, 10**6)))
+    density = draw(st.sampled_from((0.15, 0.5, 1.0)))
+    rng = random.Random(draw(seeds))
+    grid = [
+        [rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(nc)]
+        for _ in range(nr)
+    ]
+    kind = draw(st.sampled_from(("none", "tripled", "dependent")))
+    if nr >= 2 and kind == "tripled":
+        i = rng.randrange(nr)
+        grid[i] = [3 * x for x in grid[i]]
+    elif nr >= 3 and kind == "dependent":
+        i, j, k = rng.sample(range(nr), 3)
+        c = rng.choice((-3, -2, 2, 3))
+        grid[i] = [c * x + y for x, y in zip(grid[j], grid[k])]
+    return IntMatrix(grid, cols=nc)
+
+
+def assert_same_decomposition(m):
+    got, want = snf(m), oracle_snf(m)
+    for part in "duv":
+        g, w = getattr(got, part), getattr(want, part)
+        assert (g.shape, g.entries) == (w.shape, w.entries), part
+
+
+@settings(max_examples=400, deadline=None)
+@given(matrices())
+def test_snf_matches_the_oracle(m):
+    assert_same_decomposition(m)
+
+
+def test_snf_matches_the_oracle_on_the_divisibility_fixup():
+    # each needs the trailing-block fix-up (diag(2, 3) -> (1, 6)) or a
+    # non-unit pivot that stays (the tripled row)
+    cases = (
+        [[2, 0], [0, 3]],
+        [[6, 4], [4, 6]],
+        [[2, 0, 0], [0, 4, 0], [0, 0, 6]],
+        [[3, 6, 9], [1, 2, 4], [6, 12, 18]],
+        [[4, 6, 10], [6, 9, 15]],
+        [[0, 0], [0, 0], [0, 5]],
+    )
+    for rows in cases:
+        m = IntMatrix(rows)
+        assert_same_decomposition(m)
+        assert_same_decomposition(m.transpose())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_matmul_matches_the_oracle(data):
+    a = data.draw(matrices())
+    b = data.draw(matrices(rows=a.cols))
+    assert a @ b == oracle_matmul(a, b)
+    assert a @ b @ b.transpose() == oracle_matmul(oracle_matmul(a, b), b.transpose())
+
+
+def test_matmul_of_empty_factors_matches_the_oracle():
+    for p, q, r in ((0, 0, 0), (3, 0, 2), (0, 4, 2), (2, 3, 0), (0, 0, 5)):
+        a = IntMatrix([[1] * q for _ in range(p)], cols=q)
+        b = IntMatrix([[2] * r for _ in range(q)], cols=r)
+        assert a @ b == oracle_matmul(a, b)
+        if q == 0:
+            assert a @ b == IntMatrix.zeros(p, r)
+
+
+def perturb(classes: IntMatrix, rng: random.Random) -> IntMatrix:
+    rows = [list(r) for r in classes.entries]
+    if rows and classes.cols:
+        row = rng.randrange(len(rows))
+        col = rng.randrange(classes.cols)
+        rows[row][col] += rng.choice((-3, -1, 1, 2, 10**6))
+    return IntMatrix(rows, cols=classes.cols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.integers(0, 3))
+def test_pairings_match_the_oracle(seed, perturbations):
+    d = random_valid_diagram(seed, max_genus=MAX_GENUS)
+    rng = random.Random(seed)
+    systems = [s.classes for s in d.systems]
+    for _ in range(perturbations):
+        k = rng.randrange(3)
+        systems[k] = perturb(systems[k], rng)
+    for x in systems:
+        assert first_nonisotropic(x) == oracle_first_nonisotropic(x)
+        for y in systems:
+            assert pairing_matrix(x, y) == oracle_pairing_matrix(x, y)
+
+
+def test_pairing_errors_match_the_oracle():
+    odd2 = IntMatrix([[1, 0, 1], [0, 1, 1]])
+    odd1 = IntMatrix([[1, 0, 1]])
+    even = IntMatrix([[1, 0, 0, 1]])
+    for f, oracle, args in (
+        (first_nonisotropic, oracle_first_nonisotropic, (odd2,)),
+        (pairing_matrix, oracle_pairing_matrix, (odd2, odd2)),
+        (pairing_matrix, oracle_pairing_matrix, (even, odd1)),
+    ):
+        errors = []
+        for fn in (f, oracle):
+            try:
+                fn(*args)
+            except ValueError as e:
+                errors.append(str(e))
+        assert len(errors) == 2 and errors[0] == errors[1]
+    assert first_nonisotropic(odd1) is oracle_first_nonisotropic(odd1) is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 6), seeds, st.integers(0, 12), seeds)
+def test_is_symplectic_matches_the_oracle(genus, seed, count, change):
+    s = random_symplectic(genus, seed, count)
+    assert is_symplectic(s) is oracle_is_symplectic(s) is True
+    j = SymplecticLattice(genus).form_matrix()
+    assert is_symplectic(-j) is oracle_is_symplectic(-j)
+    if genus:
+        rng = random.Random(change)
+        rows = [list(r) for r in s.entries]
+        rows[rng.randrange(2 * genus)][rng.randrange(2 * genus)] += rng.choice((-2, -1, 1, 3))
+        bent = IntMatrix(rows)
+        assert is_symplectic(bent) is oracle_is_symplectic(bent)
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("trisect") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def test_invariants_command_makes_no_omega_call(monkeypatch, tmp_path):
+    d = builtin("s2xs2-g2-model")
+    for piece in ("cp2", "s1xs3", "cp2-mirror") * 3 + ("cp2",):
+        d = connect_sum(d, builtin(piece))
+    d = shuffle_diagram(d, random.Random(12), slides=6)
+    assert d.genus == 12
+    path = tmp_path / "g12.tris"
+    path.write_text(serialize_diagram(d))
+    omegas = _count_calls(monkeypatch, trisect.symplectic, "omega")
+    snfs = _count_calls(monkeypatch, trisect.intlin, "snf")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["invariants", str(path)]) == 0
+    assert len(omegas) == 0
+    assert len(snfs) == 8
