@@ -10,8 +10,8 @@ cleverness.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
 
@@ -162,13 +162,72 @@ class IntMatrix:
         return sign * a[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
 class SmithDecomposition:
-    """Factorization d = u @ m @ v with u, v unimodular and d in Smith form."""
+    """Factorization d = u @ m @ v with u, v unimodular and d in Smith form.
 
-    d: IntMatrix
-    u: IntMatrix
-    v: IntMatrix
+    Compares, hashes and prints by (d, u, v) and is immutable.  A
+    decomposition returned by `snf` holds the row and column operations of
+    its elimination instead of u and v: each transform is built from them
+    the first time it is read, then kept, so a caller that reads only d
+    never pays for the transforms.
+    """
+
+    __slots__ = ("d", "_u", "_v", "_row_ops", "_col_ops")
+
+    def __init__(self, d: IntMatrix, u: IntMatrix, v: IntMatrix):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "_u", u)
+        object.__setattr__(self, "_v", v)
+        object.__setattr__(self, "_row_ops", None)
+        object.__setattr__(self, "_col_ops", None)
+
+    @classmethod
+    def _recorded(cls, d: IntMatrix, row_ops: list, col_ops: list) -> "SmithDecomposition":
+        """d with u and v still to be built from the recorded operations."""
+        dec = cls(d, None, None)
+        object.__setattr__(dec, "_row_ops", row_ops)
+        object.__setattr__(dec, "_col_ops", col_ops)
+        return dec
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SmithDecomposition is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("SmithDecomposition is immutable")
+
+    # A transform is stored before its record is dropped, so a reader that
+    # finds no record finds the transform, even while another thread builds.
+    @property
+    def u(self) -> IntMatrix:
+        ops = self._row_ops
+        if ops is not None:
+            n = self.d.rows
+            object.__setattr__(self, "_u", IntMatrix(_replay(n, ops), cols=n))
+            object.__setattr__(self, "_row_ops", None)
+        return self._u
+
+    @property
+    def v(self) -> IntMatrix:
+        ops = self._col_ops
+        if ops is not None:
+            n = self.d.cols
+            object.__setattr__(self, "_v", IntMatrix(zip(*_replay(n, ops)), cols=n))
+            object.__setattr__(self, "_col_ops", None)
+        return self._v
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SmithDecomposition):
+            return NotImplemented
+        return (self.d, self.u, self.v) == (other.d, other.u, other.v)
+
+    def __hash__(self) -> int:
+        return hash((self.d, self.u, self.v))
+
+    def __repr__(self) -> str:
+        return f"SmithDecomposition(d={self.d!r}, u={self.u!r}, v={self.v!r})"
+
+    def __reduce__(self):
+        return (SmithDecomposition, (self.d, self.u, self.v))
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -177,6 +236,23 @@ class SmithDecomposition:
     @property
     def rank(self) -> int:
         return sum(1 for e in self.diagonal if e)
+
+
+def _replay(n: int, ops: list) -> list[list[int]]:
+    """The n x n identity with the recorded row operations applied in order:
+    ("swap", i, j), ("add", i, j, q) for row_i += q * row_j, ("neg", i)."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for op in ops:
+        kind, i = op[0], op[1]
+        if kind == "add":
+            q = op[3]
+            rows[i] = [x + q * y for x, y in zip(rows[i], rows[op[2]])]
+        elif kind == "swap":
+            j = op[2]
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            rows[i] = [-x for x in rows[i]]
+    return rows
 
 
 def snf(m: IntMatrix) -> SmithDecomposition:
@@ -191,49 +267,41 @@ def snf(m: IntMatrix) -> SmithDecomposition:
     loop terminates; a trailing entry not divisible by the pivot is fixed
     by adding its row into the pivot row and re-reducing (never needed for
     a pivot of 1).  The rule bounds each quotient by the block's largest
-    entry over its smallest.  It does not bound the entries of the block
-    or of u and v, which compound over the steps: transforms reach about
-    3000 bits for genus 3-7 diagrams built from 40 random transvections,
-    and 343k bits for a random 40 x 40 matrix with entries in [-9, 9]
-    (Cohen, GTM 138, section 2.4).
+    entry over its smallest.  It does not bound the entries of the block,
+    which compound over the steps (Cohen, GTM 138, section 2.4).
 
-    Rows above t are zero off the diagonal, and the row pass clears column
-    t below the pivot, so during the column pass column t is zero off the
-    pivot and ``col_j -= q * col_t`` changes only a[t][j].  v is built
-    transposed, as ``vt``, so column operations on v are row operations
-    on vt; it is transposed once at the end.
+    The elimination updates only the trailing block: ``block`` holds rows
+    t.. and columns t.. of the working matrix, and loses its first row and
+    column once pivot t is fixed.  It records its row and column
+    operations (swap, add a multiple, negate) instead of carrying u and v;
+    each transform is built from the record the first time it is read
+    (see `SmithDecomposition`) and equals the one an eager elimination
+    would have carried.  Only `left_kernel_basis` reads u.  Built
+    transforms grow faster than the block: about 3000 bits for genus 3-7
+    diagrams built from 40 random transvections, and 343k bits for a
+    random 40 x 40 matrix with entries in [-9, 9]; a caller that reads
+    only d never computes them.
+
+    Row 0 of the block is the pivot row and the row pass clears column 0
+    below the pivot, so during the column pass column 0 is zero off the
+    pivot and ``col_j -= q * col_0`` changes only the pivot row.  Column
+    operations are recorded as row operations on the transpose of v.
     """
     nr, nc = m.rows, m.cols
-    a = [list(r) for r in m.entries]
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    vt = [[int(i == j) for j in range(nc)] for i in range(nc)]
+    block = [list(r) for r in m.entries]
+    diag = []
+    row_ops, col_ops = [], []
 
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        vt[i], vt[j] = vt[j], vt[i]
-
-    def add_row(i, j, q):
-        # row_i += q * row_j
-        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
+    def swap_cols(j):
+        for row in block:
+            row[0], row[j] = row[j], row[0]
+        col_ops.append(("swap", t, t + j))
 
     t = 0
-    limit = min(nr, nc)
-    while t < limit:
+    while block and block[0]:
         piv, best = None, 0
-        for i in range(t, nr):
-            row = a[i]
-            for j in range(t, nc):
-                e = row[j]
+        for i, row in enumerate(block):
+            for j, e in enumerate(row):
                 if e and (piv is None or abs(e) < best):
                     piv, best = (i, j), abs(e)
                     if best == 1:
@@ -243,58 +311,69 @@ def snf(m: IntMatrix) -> SmithDecomposition:
             break
         if piv is None:
             break
-        if piv[0] != t:
-            swap_rows(t, piv[0])
-        if piv[1] != t:
-            swap_cols(t, piv[1])
-        if a[t][t] < 0:
-            negate_row(t)
+        if piv[0]:
+            block[0], block[piv[0]] = block[piv[0]], block[0]
+            row_ops.append(("swap", t, t + piv[0]))
+        if piv[1]:
+            swap_cols(piv[1])
+        if block[0][0] < 0:
+            block[0] = [-x for x in block[0]]
+            row_ops.append(("neg", t))
 
         while True:
             restart = False
-            for i in range(t + 1, nr):
-                if a[i][t]:
-                    q, r = divmod(a[i][t], a[t][t])
-                    add_row(i, t, -q)
+            top = block[0]
+            for i in range(1, len(block)):
+                row = block[i]
+                if row[0]:
+                    q, r = divmod(row[0], top[0])
+                    block[i] = [x - q * y for x, y in zip(row, top)]
+                    row_ops.append(("add", t + i, t, -q))
                     if r:
                         # the remainder is a strictly smaller pivot
-                        swap_rows(t, i)
+                        block[0], block[i] = block[i], block[0]
+                        row_ops.append(("swap", t, t + i))
                         restart = True
                         break
             if restart:
                 continue
-            top = a[t]
-            for j in range(t + 1, nc):
+            for j in range(1, len(top)):
                 if top[j]:
-                    q, r = divmod(top[j], top[t])
-                    # col_j -= q * col_t: column t is zero off the pivot
+                    q, r = divmod(top[j], top[0])
                     top[j] = r
-                    vt[j] = [x - q * y for x, y in zip(vt[j], vt[t])]
+                    col_ops.append(("add", t + j, t, -q))
                     if r:
-                        swap_cols(t, j)
+                        swap_cols(j)
                         restart = True
                         break
             if restart:
                 continue
             break
 
-        p = a[t][t]
+        p = top[0]
         offender = None
         if p != 1:
-            for i in range(t + 1, nr):
-                if any(x % p for x in a[i][t + 1:]):
+            # column 0 is zero below the pivot, so whole rows can be tested
+            for i in range(1, len(block)):
+                if any(x % p for x in block[i]):
                     offender = i
                     break
         if offender is not None:
             # pull the offending row into the pivot row; re-reducing
             # shrinks the pivot toward the gcd of the trailing block
-            add_row(t, offender, 1)
+            block[0] = [x + y for x, y in zip(top, block[offender])]
+            row_ops.append(("add", t, t + offender, 1))
             continue
+        diag.append(p)
+        del block[0]
+        for row in block:
+            del row[0]
         t += 1
 
-    return SmithDecomposition(
-        IntMatrix(a, cols=nc), IntMatrix(u, cols=nr), IntMatrix(zip(*vt), cols=nc)
-    )
+    d = [[0] * nc for _ in range(nr)]
+    for i, p in enumerate(diag):
+        d[i][i] = p
+    return SmithDecomposition._recorded(IntMatrix(d, cols=nc), row_ops, col_ops)
 
 
 def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
@@ -365,18 +444,26 @@ Rational = Union[int, Fraction]
 def symmetric_signature(s: IntMatrix | Sequence[Sequence[Rational]]) -> tuple[int, int, int]:
     """Exact inertia (n_plus, n_minus, n_zero) of a symmetric rational form.
 
-    Accepts an IntMatrix or any square grid of ints/Fractions.  Works by
-    congruence elimination over the rationals: a nonzero diagonal entry is
-    split off directly; if every active diagonal entry vanishes but some
-    pairing b = s[i][j] is nonzero, the congruence v_i += v_j makes the
-    diagonal entry 2b nonzero, and the hyperbolic plane then splits off as
-    one positive and one negative square.  All-zero remainder counts as
-    n_zero.  No floating point is involved.
+    Accepts an IntMatrix or any square grid of ints/Fractions; a grid with
+    fractions is first scaled by the positive lcm of its denominators,
+    which keeps the inertia.  Works by congruence elimination over the
+    integers in the manner of Bareiss: after each pivot the active block
+    holds ``prev`` times the true Schur complement, where ``prev`` is the
+    previous stored pivot, so every division is exact and the true pivot
+    has the sign of the stored one times the sign of ``prev``.  A nonzero
+    diagonal entry is split off directly; if every active diagonal entry
+    vanishes but some pairing b = s[i][j] is nonzero, the congruence
+    v_i += v_j makes the diagonal entry 2b nonzero (a congruence on the
+    active indices keeps the divisions exact), and the hyperbolic plane
+    then splits off as one positive and one negative square.  All-zero
+    remainder counts as n_zero.  No floating point is involved.
     """
     if isinstance(s, IntMatrix):
-        grid = [[Fraction(e) for e in r] for r in s.entries]
+        grid = [list(r) for r in s.entries]
     else:
-        grid = [[Fraction(e) for e in r] for r in s]
+        fractions = [[Fraction(e) for e in r] for r in s]
+        scale = lcm(*(e.denominator for r in fractions for e in r))
+        grid = [[e.numerator * (scale // e.denominator) for e in r] for r in fractions]
     n = len(grid)
     if any(len(r) != n for r in grid):
         raise ValueError("form matrix must be square")
@@ -386,6 +473,7 @@ def symmetric_signature(s: IntMatrix | Sequence[Sequence[Rational]]) -> tuple[in
                 raise ValueError("form matrix must be symmetric")
 
     n_pos = n_neg = n_zero = 0
+    prev = 1
     active = list(range(n))
     while active:
         p = next((i for i in active if grid[i][i] != 0), None)
@@ -404,17 +492,19 @@ def symmetric_signature(s: IntMatrix | Sequence[Sequence[Rational]]) -> tuple[in
                 grid[k][i0] += grid[k][j0]
             continue
         d = grid[p][p]
-        if d > 0:
+        if (d > 0) == (prev > 0):
             n_pos += 1
         else:
             n_neg += 1
         active.remove(p)
-        col = [grid[i][p] for i in active]
-        for ii, i in enumerate(active):
-            if col[ii] == 0:
-                continue
-            for jj, j in enumerate(active):
-                grid[i][j] -= col[ii] * col[jj] / d
+        pivot_row = grid[p]
+        for i in active:
+            row = grid[i]
+            c = row[p]
+            for j in active:
+                # exact division: Bareiss guarantees prev divides this
+                row[j] = (row[j] * d - c * pivot_row[j]) // prev
+        prev = d
     return (n_pos, n_neg, n_zero)
 
 
