@@ -35,6 +35,7 @@ from .diagram import (
     InvalidDiagramError,
     TrisectionDiagram,
     first_homology,
+    handle_counts,
     require_valid,
     signature,
     validate,
@@ -199,13 +200,12 @@ def _cmd_validate(args) -> int:
 def _cmd_invariants(args) -> int:
     d = _load_diagram(args.file)
     report = require_valid(d)
-    g, k = d.genus, report.k
-    print(f"g={g}")
-    print(f"k={k}")
+    print(f"g={d.genus}")
+    print(f"k={report.k}")
     print(f"chi={report.euler}")
     print(f"sigma={signature(d)}")
     print(f"H1={first_homology(d)}")
-    print(f"handles={1},{k},{g - k},{k},{1}")
+    print(f"handles={','.join(map(str, handle_counts(d)))}")
     triple = report.triple
     print(f"Q_alpha_beta={_fmt_matrix(triple.q_ab)}")
     print(f"Q_beta_gamma={_fmt_matrix(triple.q_bc)}")

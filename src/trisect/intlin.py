@@ -10,12 +10,14 @@ cleverness.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class IntMatrix:
     """An immutable matrix of Python ints.
 
@@ -24,7 +26,9 @@ class IntMatrix:
     must be passed explicitly when constructing a matrix with zero rows.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    rows: int
+    cols: int
+    entries: tuple[tuple[int, ...], ...]
 
     def __init__(self, entries: Iterable[Iterable[int]], cols: int | None = None):
         packed = []
@@ -48,9 +52,6 @@ class IntMatrix:
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "entries", tuple(packed))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix is immutable")
-
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
@@ -69,14 +70,6 @@ class IntMatrix:
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key
         return self.entries[i][j]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        return self.shape == other.shape and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
 
     def __repr__(self) -> str:
         return f"IntMatrix({[list(r) for r in self.entries]!r})"
@@ -162,6 +155,7 @@ class IntMatrix:
         return sign * a[n - 1][n - 1]
 
 
+@dataclass(frozen=True, eq=False)
 class SmithDecomposition:
     """Factorization d = u @ m @ v with u, v unimodular and d in Smith form.
 
@@ -172,28 +166,11 @@ class SmithDecomposition:
     never pays for the transforms.
     """
 
-    __slots__ = ("d", "_u", "_v", "_row_ops", "_col_ops")
-
-    def __init__(self, d: IntMatrix, u: IntMatrix, v: IntMatrix):
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "_u", u)
-        object.__setattr__(self, "_v", v)
-        object.__setattr__(self, "_row_ops", None)
-        object.__setattr__(self, "_col_ops", None)
-
-    @classmethod
-    def _recorded(cls, d: IntMatrix, row_ops: list, col_ops: list) -> "SmithDecomposition":
-        """d with u and v still to be built from the recorded operations."""
-        dec = cls(d, None, None)
-        object.__setattr__(dec, "_row_ops", row_ops)
-        object.__setattr__(dec, "_col_ops", col_ops)
-        return dec
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SmithDecomposition is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("SmithDecomposition is immutable")
+    d: IntMatrix
+    _u: IntMatrix | None
+    _v: IntMatrix | None
+    _row_ops: list | None = field(default=None, init=False, repr=False)
+    _col_ops: list | None = field(default=None, init=False, repr=False)
 
     # A transform is stored before its record is dropped, so a reader that
     # finds no record finds the transform, even while another thread builds.
@@ -225,9 +202,6 @@ class SmithDecomposition:
 
     def __repr__(self) -> str:
         return f"SmithDecomposition(d={self.d!r}, u={self.u!r}, v={self.v!r})"
-
-    def __reduce__(self):
-        return (SmithDecomposition, (self.d, self.u, self.v))
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -373,7 +347,10 @@ def snf(m: IntMatrix) -> SmithDecomposition:
     d = [[0] * nc for _ in range(nr)]
     for i, p in enumerate(diag):
         d[i][i] = p
-    return SmithDecomposition._recorded(IntMatrix(d, cols=nc), row_ops, col_ops)
+    dec = SmithDecomposition(IntMatrix(d, cols=nc), None, None)
+    object.__setattr__(dec, "_row_ops", row_ops)
+    object.__setattr__(dec, "_col_ops", col_ops)
+    return dec
 
 
 def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
@@ -521,19 +498,18 @@ def random_unimodular(n: int, seed: int, op_count: int) -> IntMatrix:
     if op_count < 0:
         raise ValueError("op_count must be >= 0")
     rng = random.Random(seed)
-    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    ops = []
     for _ in range(op_count):
         if n == 1:
-            rows[0] = [-x for x in rows[0]]
+            ops.append(("neg", 0))
             continue
         roll = rng.random()
         i = rng.randrange(n)
         j = (i + 1 + rng.randrange(n - 1)) % n
         if roll < 0.7:
-            c = rng.choice((-2, -1, 1, 2))
-            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+            ops.append(("add", i, j, rng.choice((-2, -1, 1, 2))))
         elif roll < 0.85:
-            rows[i], rows[j] = rows[j], rows[i]
+            ops.append(("swap", i, j))
         else:
-            rows[i] = [-x for x in rows[i]]
-    return IntMatrix(rows, cols=n)
+            ops.append(("neg", i))
+    return IntMatrix(_replay(n, ops), cols=n)

@@ -32,7 +32,6 @@ from .diagram import (
     CurveSystem,
     TrisectionDiagram,
     carry_sum_report,
-    euler_characteristic,
     first_homology,
     parameters,
     require_valid,
@@ -83,9 +82,7 @@ def handle_slide(d: TrisectionDiagram, move: SlideMove) -> TrisectionDiagram:
     return dataclasses.replace(d, **{move.system: new_sys}, name=None)
 
 
-def direct_sum(
-    d1: TrisectionDiagram, d2: TrisectionDiagram, name: str | None = None
-) -> TrisectionDiagram:
+def direct_sum(d1: TrisectionDiagram, d2: TrisectionDiagram) -> TrisectionDiagram:
     """Block direct sum of two diagrams, with no validity requirement.
 
     The genus adds; each class of d1 keeps its coordinates in the first
@@ -114,7 +111,6 @@ def direct_sum(
         embed(d1.alpha, d2.alpha, "alpha"),
         embed(d1.beta, d2.beta, "beta"),
         embed(d1.gamma, d2.gamma, "gamma"),
-        name=name,
     )
     carry_sum_report(d, d1, d2)
     return d
@@ -238,7 +234,6 @@ class EquivalenceVerdict:
 
 _INVARIANT_CHECKS = (
     ("(g, k)", parameters),
-    ("euler characteristic", euler_characteristic),
     ("signature", signature),
     ("first homology", first_homology),
 )
@@ -276,12 +271,13 @@ def compare(
 ) -> EquivalenceVerdict:
     """Bounded equivalence check between two valid diagrams.
 
-    First compares invariants ((g, k), chi, signature, first homology);
-    any mismatch is a definitive DISTINCT verdict.  Equal diagrams are
-    IDENTICAL.  Otherwise a breadth-first search over handle slides from
-    d1 looks for d2: max_depth bounds the certificate length and
-    max_nodes bounds the number of distinct diagrams visited.  The
-    search is deterministic, so equal inputs always give equal verdicts.
+    First compares invariants ((g, k), signature, first homology; chi =
+    2 + g - 3k is fixed by (g, k)); any mismatch is a definitive
+    DISTINCT verdict.  Equal diagrams are IDENTICAL.  Otherwise a
+    breadth-first search over handle slides from d1 looks for d2:
+    max_depth bounds the certificate length and max_nodes bounds the
+    number of distinct diagrams visited.  The search is deterministic,
+    so equal inputs always give equal verdicts.
 
     A search node is a triple of ids, one per system, each naming a
     tuple of class rows in a table interned for this search.  This is

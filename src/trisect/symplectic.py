@@ -218,24 +218,27 @@ def random_symplectic(genus: int, seed: int, count: int) -> IntMatrix:
 
     A transvection v -> v + c * omega(v, u) * u is symplectic for every
     integer vector u and integer c; its matrix under the right action is
-    i + c * (j @ u^T @ u).  Entries of u are drawn from {-1, 0, 1} and c
-    from small integers, so products stay well-conditioned for tests.
+    i + c * (j @ u^T @ u), so each step maps every row r to r + c *
+    omega(r, u) * u.  Entries of u are drawn from {-1, 0, 1} and c from
+    small integers, so products stay well-conditioned for tests.
     """
     if genus < 0:
         raise ValueError("genus must be nonnegative")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    rng = random.Random(seed)
     dim = 2 * genus
-    s = IntMatrix.identity(dim)
     if genus == 0:
-        return s
-    j = SymplecticLattice(genus).form_matrix()
+        return IntMatrix.identity(0)
+    rng = random.Random(seed)
+    rows = [[int(i == j) for j in range(dim)] for i in range(dim)]
     for _ in range(count):
         u = [rng.randrange(-1, 2) for _ in range(dim)]
         if all(e == 0 for e in u):
             u[rng.randrange(dim)] = 1
         c = rng.choice((1, 1, -1, -1, 2))
-        outer = IntMatrix([[a * b for b in u] for a in u], cols=dim)
-        s = s @ (IntMatrix.identity(dim) + c * (j @ outer))
-    return s
+        dual = u[genus:] + [-e for e in u[:genus]]  # omega(r, u) = r . dual
+        for r in rows:
+            w = c * sum(map(mul, r, dual))
+            if w:
+                r[:] = [x + w * y for x, y in zip(r, u)]
+    return IntMatrix(rows, cols=dim)
