@@ -23,6 +23,8 @@ coker(q), so the stacked 2g x 2g class matrix is reduced only to diagnose
 a pair in which both systems fail;
 H_1 of the manifold is coker[q_ba; q_ca]; and the signature is that of
 -Z @ q_cb @ Y^T, where [Y | Z] spans the left kernel of [q_ba; q_ca].
+Both come from one Smith form of [q_ba; q_ca], taken once per diagram
+and cached on the triple of its report.
 
 These conditions are necessary but not sufficient: deciding whether a
 Heegaard diagram really presents a connected sum of copies of S^1 x S^2
@@ -40,8 +42,8 @@ from .intlin import IntMatrix, invariant_factors
 from .symplectic import (
     LagrangianSublattice,
     first_nonisotropic,
-    pairing_maslov_index,
     pairing_matrix,
+    triple_homology,
 )
 
 ALPHA = "alpha"
@@ -136,6 +138,12 @@ class IntersectionTriple:
     q_ab: IntMatrix
     q_bc: IntMatrix
     q_ca: IntMatrix
+
+    @cached_property
+    def _homology(self) -> tuple[tuple[int, ...], int]:
+        """(invariant factors of [q_ba; q_ca], signature) of a valid diagram's
+        triple, computed on first read from one Smith form."""
+        return triple_homology(self.q_ab, self.q_bc, self.q_ca)
 
 
 @dataclass(frozen=True)
@@ -410,8 +418,7 @@ def lagrangian_triple(
 
 def signature(d: TrisectionDiagram) -> int:
     """Signature of the presented 4-manifold: the Maslov index of the triple."""
-    t = require_valid(d).triple
-    return pairing_maslov_index(t.q_ab, t.q_bc, t.q_ca)
+    return require_valid(d).triple._homology[1]
 
 
 @dataclass(frozen=True)
@@ -436,8 +443,7 @@ class FirstHomology:
 
 def first_homology(d: TrisectionDiagram) -> FirstHomology:
     """H_1 of the presented manifold: Z^(2g) mod all three spans = coker[q_ba; q_ca]."""
-    t = require_valid(d).triple
-    facs = invariant_factors((-t.q_ab.transpose()).vstack(t.q_ca))
+    facs = require_valid(d).triple._homology[0]
     return FirstHomology(
         free_rank=d.genus - sum(1 for e in facs if e),
         torsion=tuple(e for e in facs if e > 1),

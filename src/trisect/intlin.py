@@ -250,11 +250,11 @@ def snf(m: IntMatrix) -> SmithDecomposition:
     operations (swap, add a multiple, negate) instead of carrying u and v;
     each transform is built from the record the first time it is read
     (see `SmithDecomposition`) and equals the one an eager elimination
-    would have carried.  Only `left_kernel_basis` reads u.  Built
-    transforms grow faster than the block: about 3000 bits for genus 3-7
-    diagrams built from 40 random transvections, and 343k bits for a
-    random 40 x 40 matrix with entries in [-9, 9]; a caller that reads
-    only d never computes them.
+    would have carried.  Only left kernels read u: `left_kernel_basis`
+    and `symplectic.triple_homology`.  Built transforms grow faster than
+    the block: about 3000 bits for genus 3-7 diagrams built from 40
+    random transvections, and 343k bits for a random 40 x 40 matrix with
+    entries in [-9, 9]; a caller that reads only d never computes them.
 
     Row 0 of the block is the pivot row and the row pass clears column 0
     below the pivot, so during the column pass column 0 is zero off the
@@ -373,16 +373,13 @@ def is_primitive(m: IntMatrix) -> bool:
 def left_kernel_basis(m: IntMatrix) -> IntMatrix:
     """Basis of the saturated left kernel {v in Z^rows : v @ m = 0}, as rows.
 
-    With d = u @ m @ v, the rows of u at positions where the diagonal of
-    d vanishes (or past its end) span exactly the integer kernel, and the
-    span is saturated because u is unimodular.  The rows are normalized
-    to row Hermite form so the result is canonical.  A trivial kernel
-    gives a 0 x rows matrix.
+    With d = u @ m @ v, d's zeros come last, so the rows of u past the
+    rank of d span exactly the integer kernel, and the span is saturated
+    because u is unimodular.  The rows are normalized to row Hermite form
+    so the result is canonical.  A trivial kernel gives a 0 x rows matrix.
     """
     dec = snf(m)
-    diag = dec.diagonal
-    rows = [dec.u.row(i) for i in range(m.rows) if i >= len(diag) or diag[i] == 0]
-    return _hermite(rows, m.rows)
+    return _hermite(dec.u.entries[dec.rank:], m.rows)
 
 
 def _hermite(rows: Sequence[Sequence[int]], ncols: int) -> IntMatrix:

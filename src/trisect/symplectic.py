@@ -20,7 +20,8 @@ from typing import Sequence
 
 import random
 
-from .intlin import IntMatrix, is_primitive, left_kernel_basis, symmetric_signature
+from . import intlin
+from .intlin import IntMatrix, is_primitive, symmetric_signature
 
 
 @dataclass(frozen=True)
@@ -182,25 +183,37 @@ def maslov_index(l1, l2, l3) -> int:
     Arguments may be LagrangianSublattice values or g x 2g IntMatrix
     bases (which are then checked).  The index is the signature of the
     symmetric form psi((a,b,c), (a',b',c')) = omega(a, b') on the lattice
-    w = {(a,b,c) : a + b + c = 0}.  It depends only on the pairing matrices
-    q_xy = pairing_matrix(x, y) (Feller, Klug, Schirmer and Zemke, PNAS
-    2018): pairing with the basis of l1 identifies Z^(2g) / l1 with Z^g, so
-    the coordinates (y, z) of b and c in the bases of l2 and l3 map w onto
-    the left kernel of [q21; q31].  With [Y | Z] a basis of that kernel,
-    psi has Gram matrix -Z @ q32 @ Y^T = Z @ q23^T @ Y^T.
+    w = {(a,b,c) : a + b + c = 0}; it is read off the pairing matrices by
+    `triple_homology`.
     """
     a, b, c = (_as_lagrangian(x) for x in (l1, l2, l3))
-    return pairing_maslov_index(pairing_matrix(a, b), pairing_matrix(b, c), pairing_matrix(c, a))
+    return triple_homology(pairing_matrix(a, b), pairing_matrix(b, c), pairing_matrix(c, a))[1]
 
 
-def pairing_maslov_index(q12: IntMatrix, q23: IntMatrix, q31: IntMatrix) -> int:
-    """maslov_index from the pairing matrices of a triple known to be Lagrangian."""
+def triple_homology(q12, q23, q31) -> tuple[tuple[int, ...], int]:
+    """Invariant factors of [q21; q31] and the Maslov index, from one Smith form.
+
+    The arguments are the pairing matrices q_xy = pairing_matrix(x, y) of
+    a Lagrangian triple (l1, l2, l3), so q21 = -q12^T.  Following Feller,
+    Klug, Schirmer and Zemke (PNAS 2018), pairing with the basis of l1
+    identifies Z^(2g) / l1 with Z^g.  So [q21; q31] presents Z^(2g) modulo
+    all three spans, which is H_1 of the 4-manifold when the triple comes
+    from a trisection diagram; and the coordinates (y, z) of b and c in the
+    bases of l2 and l3 map the lattice w of `maslov_index` onto the left
+    kernel of [q21; q31].  With [Y | Z] a basis of that kernel, psi has
+    Gram matrix -Z @ q32 @ Y^T = Z @ q23^T @ Y^T.
+
+    With d = u @ [q21; q31] @ v in Smith form, d's zeros come last, so the
+    rows of u past the rank of d are a basis of the saturated kernel.  Any
+    basis gives a congruent Gram matrix, so they are used as they are.
+    """
     g = q12.rows
-    ker = left_kernel_basis((-q12.transpose()).vstack(q31))
-    y = ker.submatrix(0, ker.rows, 0, g)
-    z = ker.submatrix(0, ker.rows, g, 2 * g)
+    # looked up on the module, so a wrapper installed there (a tracer, a
+    # call counter) sees this call too
+    dec = intlin.snf((-q12.transpose()).vstack(q31))
+    y, z = (dec.u.submatrix(dec.rank, 2 * g, c, c + g) for c in (0, g))
     n_pos, n_neg, _ = symmetric_signature(z @ q23.transpose() @ y.transpose())
-    return n_pos - n_neg
+    return dec.diagonal, n_pos - n_neg
 
 
 def _as_lagrangian(x) -> LagrangianSublattice:

@@ -2,9 +2,14 @@
 
 import io
 import contextlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import trisect
 from trisect import (
     IntMatrix,
     SymplecticLattice,
@@ -345,3 +350,39 @@ class TestCommands:
         code, _, err = cli("validate", bad)
         assert code == 2
         assert "line 1" in err
+
+
+class TestModuleEntryPoint:
+    """`python -m trisect.cli` behaves as the installed `trisect` script."""
+
+    @staticmethod
+    def module_cli(*argv, stdin=None):
+        src = str(Path(trisect.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        return subprocess.run(
+            [sys.executable, "-m", "trisect.cli", *argv],
+            input=stdin,
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+
+    def test_invalid_file_exits_one_with_the_report(self, tmp_path):
+        bad = write(
+            tmp_path, "bad.tris", "tris v1\ngenus 1\nalpha\n2 0\nbeta\n0 1\ngamma\n1 1\n"
+        )
+        done = self.module_cli("validate", bad)
+        assert done.returncode == 1
+        assert "result: INVALID" in done.stdout.splitlines()
+
+    def test_example_pipes_into_invariants(self):
+        example = self.module_cli("example", "cp2")
+        assert example.returncode == 0
+        done = self.module_cli("invariants", "/dev/stdin", stdin=example.stdout)
+        assert done.returncode == 0
+        assert done.stdout == (
+            "g=1\nk=0\nchi=3\nsigma=1\nH1=0\nhandles=1,0,1,0,1\n"
+            "Q_alpha_beta=[1]\nQ_beta_gamma=[-1]\nQ_gamma_alpha=[-1]\n"
+        )

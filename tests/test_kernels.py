@@ -335,4 +335,4 @@ def test_invariants_command_makes_no_omega_call(monkeypatch, tmp_path):
     with contextlib.redirect_stdout(io.StringIO()):
         assert run(["invariants", str(path)]) == 0
     assert len(omegas) == 0
-    assert len(snfs) == 8
+    assert len(snfs) == 7

@@ -182,7 +182,7 @@ def test_invariants_builds_u_once_for_the_kernel_and_never_v(monkeypatch, tmp_pa
         with contextlib.redirect_stdout(io.StringIO()):
             assert run(["invariants", str(path)]) == 0
     g = d.genus
-    assert len(seen) == 8
+    assert len(seen) == 7
     assert built(seen) == ([(2 * g, g)], [])
     assert replay.call_count == 1
 
