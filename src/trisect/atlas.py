@@ -59,17 +59,14 @@ def torus_diagram(t: TorusTriple, name: str | None = None) -> TrisectionDiagram:
 
 
 def split_diagram(pieces: Sequence[TorusTriple]) -> TrisectionDiagram:
-    """Direct sum of genus-1 slope diagrams, one block per triple.
+    """Direct sum of genus-1 slope diagrams, one block per triple, in order.
 
-    Equals the left fold of the block direct sum over the pieces; the
-    individual blocks need not be valid diagrams on their own (the
-    stabilization block splits into three such triples), so no validity
-    is required or implied here.
+    One block direct sum of all the pieces' torus diagrams; no pieces
+    give the genus-0 diagram.  The individual blocks need not be valid
+    diagrams on their own (the stabilization block splits into three
+    such triples), so no validity is required or implied here.
     """
-    out = TrisectionDiagram.from_rows(0, [], [], [])
-    for t in pieces:
-        out = direct_sum(out, torus_diagram(t))
-    return out
+    return direct_sum(*map(torus_diagram, pieces))
 
 
 def _s4_g0() -> TrisectionDiagram:

@@ -51,7 +51,7 @@ from .moves import (
     connect_sum,
     handle_slide,
     reverse_orientation,
-    stabilize,
+    stabilization_block,
 )
 
 _INT = re.compile(r"[+-]?[0-9]+\Z")
@@ -217,8 +217,8 @@ def _cmd_stabilize(args) -> int:
     d = _load_diagram(args.file)
     if args.n < 0:
         raise ValueError("-n must be nonnegative")
-    for _ in range(args.n):
-        d = stabilize(d)
+    if args.n:  # -n 0 prints the input unvalidated
+        d = connect_sum(d, *[stabilization_block()] * args.n)
     sys.stdout.write(serialize_diagram(d))
     return 0
 

@@ -50,6 +50,7 @@ ALPHA = "alpha"
 BETA = "beta"
 GAMMA = "gamma"
 LABELS = (ALPHA, BETA, GAMMA)
+PAIRS = ("alpha-beta", "beta-gamma", "gamma-alpha")
 
 
 @dataclass(frozen=True)
@@ -275,16 +276,16 @@ def validate(d: TrisectionDiagram) -> ValidationReport:
     triple = intersection_triple(d)
     pair_reports = []
     ks = []
-    for (l, r), q in zip(((0, 1), (1, 2), (2, 0)), (triple.q_ab, triple.q_bc, triple.q_ca)):
-        left, right = d.systems[l], d.systems[r]
-        pair = f"{left.label}-{right.label}"
+    for pair, (l, r), q in zip(
+        PAIRS, ((0, 1), (1, 2), (2, 0)), (triple.q_ab, triple.q_bc, triple.q_ca)
+    ):
         qfacs = invariant_factors(q)
         k = g - sum(1 for e in qfacs if e)
         unit = all(e in (0, 1) for e in qfacs)
         if sys_reports[l].ok or sys_reports[r].ok:  # the double's H_1 is coker(q)
             facs, double_rank = qfacs, k
         else:
-            facs = invariant_factors(left.classes.vstack(right.classes))
+            facs = invariant_factors(d.systems[l].classes.vstack(d.systems[r].classes))
             double_rank = 2 * g - sum(1 for e in facs if e)
         torsion = tuple(e for e in facs if e > 1)
         double_free = not torsion
@@ -339,43 +340,45 @@ def require_valid(d: TrisectionDiagram) -> ValidationReport:
     return report
 
 
-def carry_sum_report(
-    total: TrisectionDiagram, d1: TrisectionDiagram, d2: TrisectionDiagram
-) -> None:
-    """Give total, the block direct sum of d1 and d2, its report without validating it.
+def carry_sum_report(total: TrisectionDiagram, summands: Sequence[TrisectionDiagram]) -> None:
+    """Give total, the block direct sum of summands, its report without validating it.
 
-    Only when both summands already carry a valid report: the sum is then
-    valid by construction, genus and k add, each q has g - k unit factors
-    and k zeros, and the triple is the block diagonal of the two triples.
-    Otherwise total is left to be validated in full when first needed.
+    Only when every summand already carries a valid report: the sum is
+    then valid by construction, genus and k add, each q has g - k unit
+    factors and k zeros, and the triple is the block diagonal of the
+    summands' triples.  Otherwise total is left to be validated in full
+    when first needed.
     """
-    r1, r2 = vars(d1).get("_report"), vars(d2).get("_report")
-    if r1 is None or r2 is None or not (r1.valid and r2.valid):
+    reports = [vars(d).get("_report") for d in summands]
+    if not all(r is not None and r.valid for r in reports):
         return
-    g, k = r1.genus + r2.genus, r1.k + r2.k
-    t1, t2 = r1.triple, r2.triple
+    g, k = sum(r.genus for r in reports), sum(r.k for r in reports)
     q_factors = (1,) * (g - k) + (0,) * k
     vars(total)["_report"] = ValidationReport(  # the cached_property's slot
         genus=g,
         systems=tuple(SystemReport(label, True, True, True) for label in LABELS),
-        pairs=tuple(PairReport(p.pair, q_factors, True, True, k, k) for p in r1.pairs),
+        pairs=tuple(PairReport(pair, q_factors, True, True, k, k) for pair in PAIRS),
         k_agree=True,
         valid=True,
         k=k,
         euler=2 + g - 3 * k,
         failures=(),
         triple=IntersectionTriple(
-            _block_diagonal(t1.q_ab, t2.q_ab),
-            _block_diagonal(t1.q_bc, t2.q_bc),
-            _block_diagonal(t1.q_ca, t2.q_ca),
+            _block_diagonal([r.triple.q_ab for r in reports]),
+            _block_diagonal([r.triple.q_bc for r in reports]),
+            _block_diagonal([r.triple.q_ca for r in reports]),
         ),
     )
 
 
-def _block_diagonal(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    rows = [r + (0,) * b.cols for r in a.entries]
-    rows += [(0,) * a.cols + r for r in b.entries]
-    return IntMatrix(rows, cols=a.cols + b.cols)
+def _block_diagonal(blocks: Sequence[IntMatrix]) -> IntMatrix:
+    n = sum(b.cols for b in blocks)
+    rows, before = [], 0
+    for b in blocks:
+        pad, post = (0,) * before, (0,) * (n - before - b.cols)
+        rows += [pad + r + post for r in b.entries]
+        before += b.cols
+    return IntMatrix(rows, cols=n)
 
 
 def parameters(d: TrisectionDiagram) -> tuple[int, int]:

@@ -35,7 +35,7 @@ class IntMatrix:
         for r in entries:
             row = tuple(r)
             for e in row:
-                if not isinstance(e, int):
+                if type(e) is not int:  # bool subclasses int
                     raise TypeError(f"matrix entries must be int, got {type(e).__name__}")
             packed.append(row)
         if packed:

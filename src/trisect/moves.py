@@ -8,7 +8,8 @@ The moves that preserve the presented 4-manifold are:
     the 4-sphere, taking (g, k) to (g + 3, k + 1);
   * surface diffeomorphisms fixing the orientation, which act on
     homology through Sp(2g, Z) on the right;
-  * connected sum of two diagrams and orientation reversal.
+  * connected sum of any number of diagrams, built as one block direct
+    sum, and orientation reversal.
 
 ``compare`` searches the handle-slide orbit only, breadth-first with a
 bounded budget: it never stabilizes and never searches the
@@ -82,50 +83,74 @@ def handle_slide(d: TrisectionDiagram, move: SlideMove) -> TrisectionDiagram:
     return dataclasses.replace(d, **{move.system: new_sys}, name=None)
 
 
-def direct_sum(d1: TrisectionDiagram, d2: TrisectionDiagram) -> TrisectionDiagram:
-    """Block direct sum of two diagrams, with no validity requirement.
+def direct_sum(*diagrams: TrisectionDiagram) -> TrisectionDiagram:
+    """Block direct sum of any number of diagrams, with no validity requirement.
 
-    The genus adds; each class of d1 keeps its coordinates in the first
-    blocks of x and y, each class of d2 moves to the complementary
-    blocks.  connect_sum is this plus the requirement that both inputs
-    are valid.
+    The genus is the sum of the summands' genera.  Summand i's x and y
+    coordinates go into its own x block and its own y block, in argument
+    order, so the sum equals the left fold of two-summand sums: it is
+    associative, ``direct_sum(d, empty) == d``, and ``direct_sum()`` is
+    the genus-0 diagram.  Every summand's rows are embedded once.
+    connect_sum is this plus the requirement that every input is valid.
 
-    Validates nothing.  When both summands already carry a valid report
-    (each diagram object keeps the report of its first validation), the
-    sum carries one built from theirs and is never validated; otherwise
-    it carries none and is validated in full when first needed.
+    Validates nothing.  When every summand already carries a valid
+    report (each diagram object keeps the report of its first
+    validation), the sum carries one built from theirs and is never
+    validated; otherwise it carries none and is validated in full when
+    first needed.
     """
-    g1, g2 = d1.genus, d2.genus
-    g = g1 + g2
+    g = sum(d.genus for d in diagrams)
 
-    def embed(s1: CurveSystem, s2: CurveSystem, label: str) -> CurveSystem:
-        rows = []
-        for r in s1.classes.entries:
-            rows.append(r[:g1] + (0,) * g2 + r[g1:] + (0,) * g2)
-        for r in s2.classes.entries:
-            rows.append((0,) * g1 + r[:g2] + (0,) * g1 + r[g2:])
+    def embed(label: str) -> CurveSystem:
+        rows, before = [], 0
+        for d in diagrams:
+            h = d.genus
+            pad, post = (0,) * before, (0,) * (g - before - h)
+            for r in d.system(label).classes.entries:
+                rows.append(pad + r[:h] + post + pad + r[h:] + post)
+            before += h
         return CurveSystem(g, IntMatrix(rows, cols=2 * g), label)
 
-    d = TrisectionDiagram(
-        g,
-        embed(d1.alpha, d2.alpha, "alpha"),
-        embed(d1.beta, d2.beta, "beta"),
-        embed(d1.gamma, d2.gamma, "gamma"),
-    )
-    carry_sum_report(d, d1, d2)
-    return d
+    total = TrisectionDiagram(g, *map(embed, LABELS))
+    carry_sum_report(total, diagrams)
+    return total
 
 
-def connect_sum(d1: TrisectionDiagram, d2: TrisectionDiagram) -> TrisectionDiagram:
-    """Connected sum of two valid diagrams; (g, k) and chi behave additively:
-    g = g1 + g2, k = k1 + k2, chi = chi1 + chi2 - 2.
+def connect_sum(*diagrams: TrisectionDiagram) -> TrisectionDiagram:
+    """Connected sum of any number of valid diagrams; (g, k) and chi behave
+    additively: g = g1 + ... + gn, k = k1 + ... + kn and
+    chi = chi1 + ... + chin - 2(n - 1).
 
-    Validates each input that carries no report yet; the sum carries its
-    report, so it is never validated.
+    Validates each input that carries no report yet, in argument order,
+    then takes one direct sum; the sum carries its report, so it is never
+    validated.
     """
-    require_valid(d1)
-    require_valid(d2)
-    return direct_sum(d1, d2)
+    for d in diagrams:
+        require_valid(d)
+    return direct_sum(*diagrams)
+
+
+# the standard genus-3 diagram of the 4-sphere, validated once, at import,
+# so that every stabilization carries a report
+_BLOCK = TrisectionDiagram.from_rows(
+    3,
+    alpha=[
+        [1, 0, 0, 0, 0, 0],
+        [0, 1, 0, 0, 0, 0],
+        [0, 0, -1, 0, 0, 0],
+    ],
+    beta=[
+        [0, 0, 0, 1, 0, 0],
+        [0, 0, 0, 0, 1, 0],
+        [0, 0, 1, 0, 0, 0],
+    ],
+    gamma=[
+        [-1, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, -1, 0],
+        [0, 0, 0, 0, 0, 1],
+    ],
+)
+require_valid(_BLOCK)
 
 
 def stabilization_block() -> TrisectionDiagram:
@@ -134,30 +159,12 @@ def stabilization_block() -> TrisectionDiagram:
     Classes: alpha = (x1, x2, -x3), beta = (y1, y2, x3),
     gamma = (-x1, -y2, y3).  Its intersection triple is exactly
     (diag(1,1,0), diag(1,0,1), diag(0,1,1)) and (g, k) = (3, 1).
+
+    Every call returns the module's one block, built and validated once
+    at import.  Diagrams are frozen values, so sharing it is safe, and it
+    carries its report, so reading an invariant of it validates nothing.
     """
-    return TrisectionDiagram.from_rows(
-        3,
-        alpha=[
-            [1, 0, 0, 0, 0, 0],
-            [0, 1, 0, 0, 0, 0],
-            [0, 0, -1, 0, 0, 0],
-        ],
-        beta=[
-            [0, 0, 0, 1, 0, 0],
-            [0, 0, 0, 0, 1, 0],
-            [0, 0, 1, 0, 0, 0],
-        ],
-        gamma=[
-            [-1, 0, 0, 0, 0, 0],
-            [0, 0, 0, 0, -1, 0],
-            [0, 0, 0, 0, 0, 1],
-        ],
-    )
-
-
-# validated once, at import, so that every stabilization carries a report
-_BLOCK = stabilization_block()
-require_valid(_BLOCK)
+    return _BLOCK
 
 
 def stabilize(d: TrisectionDiagram) -> TrisectionDiagram:
@@ -165,11 +172,10 @@ def stabilize(d: TrisectionDiagram) -> TrisectionDiagram:
 
     Takes (g, k) to (g + 3, k + 1) and preserves chi, signature and
     first homology.  Validates d only if it carries no report yet; the
-    result carries its report, so a chain of stabilizations validates
-    its input once.
+    result carries its report.  n stabilizations at once are one
+    ``connect_sum(d, *[stabilization_block()] * n)``.
     """
-    require_valid(d)
-    return direct_sum(d, _BLOCK)
+    return connect_sum(d, _BLOCK)
 
 
 def apply_diffeomorphism(d: TrisectionDiagram, s: IntMatrix) -> TrisectionDiagram:

@@ -17,7 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trisect import IntMatrix, SymplecticLattice, random_symplectic, random_unimodular, snf
+from trisect import (
+    IntMatrix,
+    SymplecticLattice,
+    TrisectionDiagram,
+    random_symplectic,
+    random_unimodular,
+    snf,
+)
+from trisect.cli import parse_diagram, serialize_diagram
 from trisect.intlin import SmithDecomposition
 
 from test_kernels import oracle_snf, seeds
@@ -147,3 +155,17 @@ def test_smith_decomposition_survives_copy_deepcopy_and_pickle(read_first):
             assert c == want and hash(c) == hash(want)
             with pytest.raises(AttributeError):
                 c.d = m
+
+
+@pytest.mark.parametrize("entry", [True, False])
+def test_int_matrix_rejects_bool_entries(entry):
+    with pytest.raises(TypeError, match="got bool"):
+        IntMatrix([[1, entry]])
+
+
+def test_bool_rows_cannot_build_a_diagram_that_breaks_the_round_trip():
+    # bool subclasses int, but serializes as "True", which parse_diagram rejects
+    with pytest.raises(TypeError, match="got bool"):
+        TrisectionDiagram.from_rows(1, [[True, False]], [[0, 1]], [[1, 1]])
+    d = TrisectionDiagram.from_rows(1, [[1, 0]], [[0, 1]], [[1, 1]])
+    assert parse_diagram(serialize_diagram(d)) == d
