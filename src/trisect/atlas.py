@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from math import gcd
 from typing import Callable, Sequence
 
-from .diagram import TrisectionDiagram, validate
+from .diagram import LABELS, TrisectionDiagram, validate
 from .moves import direct_sum, stabilization_block
 
 
@@ -42,7 +42,7 @@ class TorusTriple:
     gamma: tuple[int, int]
 
     def __post_init__(self):
-        for label, (p, q) in zip(("alpha", "beta", "gamma"), self.slopes):
+        for label, (p, q) in zip(LABELS, self.slopes):
             if gcd(p, q) != 1:
                 raise ValueError(f"{label} slope ({p}, {q}) is not coprime")
 
@@ -70,27 +70,23 @@ def split_diagram(pieces: Sequence[TorusTriple]) -> TrisectionDiagram:
 
 
 def _s4_g0() -> TrisectionDiagram:
-    return TrisectionDiagram.from_rows(0, [], [], [], name="s4-g0")
-
-
-def _s4_g3() -> TrisectionDiagram:
-    return replace(stabilization_block(), name="s4-g3")
+    return TrisectionDiagram.from_rows(0, [], [], [])
 
 
 def _cp2() -> TrisectionDiagram:
-    return torus_diagram(TorusTriple((1, 0), (0, 1), (1, 1)), name="cp2")
+    return torus_diagram(TorusTriple((1, 0), (0, 1), (1, 1)))
 
 
 def _cp2_mirror() -> TrisectionDiagram:
-    return torus_diagram(TorusTriple((1, 0), (0, 1), (1, -1)), name="cp2-mirror")
+    return torus_diagram(TorusTriple((1, 0), (0, 1), (1, -1)))
 
 
 def _s1xs3() -> TrisectionDiagram:
-    return torus_diagram(TorusTriple((1, 0), (1, 0), (1, 0)), name="s1xs3")
+    return torus_diagram(TorusTriple((1, 0), (1, 0), (1, 0)))
 
 
 def _cp2_sum_cp2mirror() -> TrisectionDiagram:
-    return replace(direct_sum(_cp2(), _cp2_mirror()), name="cp2-sum-cp2mirror")
+    return direct_sum(_cp2(), _cp2_mirror())
 
 
 def _s2xs2_g2_model() -> TrisectionDiagram:
@@ -99,13 +95,12 @@ def _s2xs2_g2_model() -> TrisectionDiagram:
         alpha=[[1, 0, 0, 0], [0, 1, 0, 0]],
         beta=[[0, 0, 1, 0], [0, 0, 0, 1]],
         gamma=[[0, 1, 1, 0], [1, 0, 0, 1]],
-        name="s2xs2-g2-model",
     )
 
 
 _CATALOG: dict[str, Callable[[], TrisectionDiagram]] = {
     "s4-g0": _s4_g0,
-    "s4-g3": _s4_g3,
+    "s4-g3": stabilization_block,
     "cp2": _cp2,
     "cp2-mirror": _cp2_mirror,
     "s1xs3": _s1xs3,
@@ -125,7 +120,7 @@ def builtin(name: str) -> TrisectionDiagram:
     except KeyError:
         known = ", ".join(builtin_names())
         raise ValueError(f"unknown example {name!r}; known entries: {known}") from None
-    d = build()
+    d = replace(build(), name=name)
     report = validate(d)
     if not report.valid:  # the catalog is curated; this is a tripwire
         raise AssertionError(f"atlas entry {name} failed validation: {report.failures}")

@@ -32,6 +32,7 @@ from typing import Sequence
 
 from .atlas import builtin, builtin_names, bundle_over_s2_params, mapping_torus_params
 from .diagram import (
+    LABELS,
     InvalidDiagramError,
     TrisectionDiagram,
     first_homology,
@@ -118,7 +119,7 @@ def parse_diagram(text: str) -> TrisectionDiagram:
         raise DiagramParseError("genus must be nonnegative", number)
 
     systems = []
-    for label in ("alpha", "beta", "gamma"):
+    for label in LABELS:
         number, content = take(f"section '{label}'")
         if content.split() != [label]:
             raise DiagramParseError(
@@ -323,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("slide", help="print the diagram after one handle slide")
     p.add_argument("file")
-    p.add_argument("--system", required=True, choices=("alpha", "beta", "gamma"))
+    p.add_argument("--system", required=True, choices=LABELS)
     p.add_argument("--target", type=int, required=True, help="curve to change, 1-based")
     p.add_argument("--source", type=int, required=True, help="curve slid over, 1-based")
     p.add_argument("--sign", required=True, choices=("+", "-"))

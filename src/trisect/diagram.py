@@ -26,6 +26,14 @@ H_1 of the manifold is coker[q_ba; q_ca]; and the signature is that of
 Both come from one Smith form of [q_ba; q_ca], taken once per diagram
 and cached on the triple of its report.
 
+A report stores only what validation measured: for each system the
+invariant factors of its class matrix and its first non-isotropic pair,
+for each pair the invariant factors of q and of its double's
+presentation, and the triple.  Every verdict, k, chi and failure line is
+a property derived from those facts, so no two parts of a report can
+disagree, and a direct sum of valid diagrams is given the facts of a
+valid diagram (``carry_sum_report``) instead of restated verdicts.
+
 These conditions are necessary but not sufficient: deciding whether a
 Heegaard diagram really presents a connected sum of copies of S^1 x S^2
 is out of reach at the homology level, so a passing report means "no
@@ -51,6 +59,14 @@ BETA = "beta"
 GAMMA = "gamma"
 LABELS = (ALPHA, BETA, GAMMA)
 PAIRS = ("alpha-beta", "beta-gamma", "gamma-alpha")
+
+
+def _named(items: Sequence, names: Sequence[str], name: str, kind: str):
+    """items[i] for the name names[i]; an unknown name is a ValueError naming its kind."""
+    try:
+        return items[names.index(name)]
+    except ValueError:
+        raise ValueError(f"unknown {kind} {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -122,10 +138,7 @@ class TrisectionDiagram:
         return (self.alpha, self.beta, self.gamma)
 
     def system(self, label: str) -> CurveSystem:
-        try:
-            return self.systems[LABELS.index(label)]
-        except ValueError:
-            raise ValueError(f"unknown system label {label!r}") from None
+        return _named(self.systems, LABELS, label, "system label")
 
     @cached_property
     def _report(self) -> "ValidationReport":
@@ -149,61 +162,151 @@ class IntersectionTriple:
 
 @dataclass(frozen=True)
 class SystemReport:
-    """Lagrangian checks for one curve system."""
+    """Lagrangian checks for one curve system, read off what ``validate`` measured.
+
+    ``factors`` are the invariant factors of the g x 2g class matrix and
+    ``nonisotropic`` is the first (i, j, omega) with a nonzero pairing, or
+    None.  Every verdict is a property of these two facts.
+    """
 
     label: str
-    full_rank: bool
-    primitive: bool
-    isotropic: bool
+    factors: tuple[int, ...]
+    nonisotropic: tuple[int, int, int] | None
+
+    @property
+    def full_rank(self) -> bool:
+        return all(self.factors)
+
+    @property
+    def primitive(self) -> bool:
+        return all(e == 1 for e in self.factors)
+
+    @property
+    def isotropic(self) -> bool:
+        return self.nonisotropic is None
 
     @property
     def ok(self) -> bool:
         return self.full_rank and self.primitive and self.isotropic
 
+    @property
+    def failures(self) -> list[str]:
+        out, label, facs = [], self.label, self.factors
+        if not self.full_rank:
+            rank = sum(1 for e in facs if e)
+            out.append(f"{label}: rows are dependent (rank {rank} of {len(facs)})")
+        elif not self.primitive:
+            out.append(
+                f"{label}: span is not primitive (invariant factors {_fmt_factors(facs)})"
+            )
+        if not self.isotropic:
+            i, j, val = self.nonisotropic
+            out.append(
+                f"{label}: not isotropic, omega({label}_{i + 1}, {label}_{j + 1}) = {val}"
+            )
+        return out
+
 
 @dataclass(frozen=True)
 class PairReport:
-    """Homological S^1 x S^2 connected-sum checks for one pair of systems."""
+    """Homological S^1 x S^2 connected-sum checks for one pair of systems.
+
+    ``q_factors`` are the invariant factors of the pair's g x g
+    intersection matrix q.  ``double_factors`` are those of the double's
+    H_1: q's own factors when either system is Lagrangian, since H_1 is
+    then coker(q), and otherwise those of the stacked 2g x 2g class
+    matrix.  Both tuples end in one zero per free rank, so ``k`` and
+    ``double_rank`` count zeros; every verdict is a property.
+    """
 
     pair: str
     q_factors: tuple[int, ...]
-    unit_factors: bool
-    double_free: bool
-    double_rank: int
-    k: int
+    double_factors: tuple[int, ...]
+
+    @property
+    def unit_factors(self) -> bool:
+        return all(e in (0, 1) for e in self.q_factors)
+
+    @property
+    def double_free(self) -> bool:
+        return all(e in (0, 1) for e in self.double_factors)
+
+    @property
+    def double_rank(self) -> int:
+        return self.double_factors.count(0)
+
+    @property
+    def k(self) -> int:
+        return self.q_factors.count(0)
 
     @property
     def ok(self) -> bool:
         return self.unit_factors and self.double_free and self.double_rank == self.k
 
+    @property
+    def failures(self) -> list[str]:
+        out, pair = [], self.pair
+        if not self.unit_factors:
+            out.append(
+                f"{pair}: intersection matrix has non-unit invariant factors "
+                f"{_fmt_factors(self.q_factors)}"
+            )
+        if not self.double_free:
+            torsion = tuple(e for e in self.double_factors if e > 1)
+            out.append(f"{pair}: double has torsion {_fmt_factors(torsion)}")
+        elif self.double_rank != self.k:
+            out.append(f"{pair}: double has rank {self.double_rank}, expected k = {self.k}")
+        return out
+
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of all homological checks, with per-check diagnostics.
+    """Outcome of all homological checks: the facts ``validate`` measured.
 
-    ``k`` and ``euler`` are filled only when the diagram is valid.
-    A valid report asserts the absence of homological obstructions, not
-    a geometric equivalence; ``lines()`` states that scope explicitly.
+    The report stores the genus, the three system and pair reports and
+    the intersection triple; ``valid``, ``k_agree``, ``k``, ``euler`` and
+    ``failures`` are derived from them, so no two can disagree.  ``k``
+    and ``euler`` are None unless the diagram is valid.  A valid report
+    asserts the absence of homological obstructions, not a geometric
+    equivalence; ``lines()`` states that scope explicitly.
     """
 
     genus: int
     systems: tuple[SystemReport, SystemReport, SystemReport]
     pairs: tuple[PairReport, PairReport, PairReport]
-    k_agree: bool
-    valid: bool
-    k: int | None
-    euler: int | None
-    failures: tuple[str, ...]
     triple: IntersectionTriple
 
+    @property
+    def k_agree(self) -> bool:
+        return len({p.k for p in self.pairs}) <= 1
+
+    @cached_property  # read for every summand a sum carries its report from
+    def valid(self) -> bool:
+        return all(part.ok for part in self.systems + self.pairs) and self.k_agree
+
+    @property
+    def k(self) -> int | None:
+        return self.pairs[0].k if self.valid else None
+
+    @property
+    def euler(self) -> int | None:
+        return 2 + self.genus - 3 * self.k if self.valid else None
+
+    @property
+    def failures(self) -> tuple[str, ...]:
+        out = [f for part in self.systems + self.pairs for f in part.failures]
+        if not self.k_agree:
+            out.append(
+                "per-pair k values disagree: "
+                + ", ".join(f"{p.pair} gives {p.k}" for p in self.pairs)
+            )
+        return tuple(out)
+
     def system(self, label: str) -> SystemReport:
-        return self.systems[LABELS.index(label)]
+        return _named(self.systems, LABELS, label, "system label")
 
     def pair(self, name: str) -> PairReport:
-        for p in self.pairs:
-            if p.pair == name:
-                return p
-        raise ValueError(f"unknown pair {name!r}")
+        return _named(self.pairs, PAIRS, name, "pair")
 
     def lines(self) -> list[str]:
         out = [f"genus {self.genus}"]
@@ -246,86 +349,24 @@ class InvalidDiagramError(ValueError):
 
 
 def validate(d: TrisectionDiagram) -> ValidationReport:
-    """Run every homological check and return the full report."""
-    g = d.genus
-    failures: list[str] = []
-
-    sys_reports = []
-    for sys in d.systems:
-        facs = invariant_factors(sys.classes)
-        rank = sum(1 for e in facs if e)
-        full_rank = rank == g
-        primitive = all(e == 1 for e in facs)
-        bad = first_nonisotropic(sys.classes)
-        isotropic = bad is None
-        sys_reports.append(SystemReport(sys.label, full_rank, primitive, isotropic))
-        if not full_rank:
-            failures.append(f"{sys.label}: rows are dependent (rank {rank} of {g})")
-        elif not primitive:
-            failures.append(
-                f"{sys.label}: span is not primitive "
-                f"(invariant factors {_fmt_factors(facs)})"
-            )
-        if not isotropic:
-            i, j, val = bad
-            failures.append(
-                f"{sys.label}: not isotropic, "
-                f"omega({sys.label}_{i + 1}, {sys.label}_{j + 1}) = {val}"
-            )
-
+    """Measure every homological check and return the report of the facts."""
+    systems = tuple(
+        SystemReport(s.label, invariant_factors(s.classes), first_nonisotropic(s.classes))
+        for s in d.systems
+    )
     triple = intersection_triple(d)
-    pair_reports = []
-    ks = []
+    pairs = []
     for pair, (l, r), q in zip(
         PAIRS, ((0, 1), (1, 2), (2, 0)), (triple.q_ab, triple.q_bc, triple.q_ca)
     ):
-        qfacs = invariant_factors(q)
-        k = g - sum(1 for e in qfacs if e)
-        unit = all(e in (0, 1) for e in qfacs)
-        if sys_reports[l].ok or sys_reports[r].ok:  # the double's H_1 is coker(q)
-            facs, double_rank = qfacs, k
+        q_factors = invariant_factors(q)
+        if systems[l].ok or systems[r].ok:  # the double's H_1 is coker(q)
+            double_factors = q_factors
         else:
-            facs = invariant_factors(d.systems[l].classes.vstack(d.systems[r].classes))
-            double_rank = 2 * g - sum(1 for e in facs if e)
-        torsion = tuple(e for e in facs if e > 1)
-        double_free = not torsion
-        pair_reports.append(PairReport(pair, qfacs, unit, double_free, double_rank, k))
-        ks.append(k)
-        if not unit:
-            failures.append(
-                f"{pair}: intersection matrix has non-unit invariant factors "
-                f"{_fmt_factors(qfacs)}"
-            )
-        if not double_free:
-            failures.append(f"{pair}: double has torsion {_fmt_factors(torsion)}")
-        elif double_rank != k:
-            failures.append(
-                f"{pair}: double has rank {double_rank}, expected k = {k}"
-            )
-
-    k_agree = len(set(ks)) <= 1
-    if not k_agree:
-        failures.append(
-            "per-pair k values disagree: "
-            + ", ".join(f"{p.pair} gives {p.k}" for p in pair_reports)
-        )
-
-    valid = (
-        all(s.ok for s in sys_reports) and all(p.ok for p in pair_reports) and k_agree
-    )
-    k = ks[0] if valid else None
-    euler = 2 + g - 3 * k if valid else None
-    return ValidationReport(
-        genus=g,
-        systems=tuple(sys_reports),
-        pairs=tuple(pair_reports),
-        k_agree=k_agree,
-        valid=valid,
-        k=k,
-        euler=euler,
-        failures=tuple(failures),
-        triple=triple,
-    )
+            stacked = d.systems[l].classes.vstack(d.systems[r].classes)
+            double_factors = invariant_factors(stacked)
+        pairs.append(PairReport(pair, q_factors, double_factors))
+    return ValidationReport(d.genus, systems, tuple(pairs), triple)
 
 
 def _fmt_factors(facs: Sequence[int]) -> str:
@@ -344,10 +385,12 @@ def carry_sum_report(total: TrisectionDiagram, summands: Sequence[TrisectionDiag
     """Give total, the block direct sum of summands, its report without validating it.
 
     Only when every summand already carries a valid report: the sum is
-    then valid by construction, genus and k add, each q has g - k unit
-    factors and k zeros, and the triple is the block diagonal of the
-    summands' triples.  Otherwise total is left to be validated in full
-    when first needed.
+    then valid by construction, so the carry states the facts of a valid
+    diagram of genus g = sum of genera and k = sum of k's.  Each system's
+    factors are g ones, each q has g - k unit factors and k zeros and is
+    its double's presentation, and the triple is the block diagonal of
+    the summands' triples.  Otherwise total is left to be validated in
+    full when first needed.
     """
     reports = [vars(d).get("_report") for d in summands]
     if not all(r is not None and r.valid for r in reports):
@@ -356,13 +399,8 @@ def carry_sum_report(total: TrisectionDiagram, summands: Sequence[TrisectionDiag
     q_factors = (1,) * (g - k) + (0,) * k
     vars(total)["_report"] = ValidationReport(  # the cached_property's slot
         genus=g,
-        systems=tuple(SystemReport(label, True, True, True) for label in LABELS),
-        pairs=tuple(PairReport(pair, q_factors, True, True, k, k) for pair in PAIRS),
-        k_agree=True,
-        valid=True,
-        k=k,
-        euler=2 + g - 3 * k,
-        failures=(),
+        systems=tuple(SystemReport(label, (1,) * g, None) for label in LABELS),
+        pairs=tuple(PairReport(pair, q_factors, q_factors) for pair in PAIRS),
         triple=IntersectionTriple(
             _block_diagonal([r.triple.q_ab for r in reports]),
             _block_diagonal([r.triple.q_bc for r in reports]),
