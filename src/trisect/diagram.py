@@ -26,6 +26,16 @@ H_1 of the manifold is coker[q_ba; q_ca]; and the signature is that of
 Both come from one Smith form of [q_ba; q_ca], taken once per diagram
 and cached on the triple of its report.
 
+The class matrices' invariant factors are read off widened matrices.
+For any integer W with a right inverse R, X @ W has the invariant
+factors of X, because X @ W and X = (X @ W) @ R have the same column
+lattice.  A system X is reduced as [q(X, next) | q(prev, X)^T | X] =
+X @ [J next^T | -J prev^T | I], and a stacked pair S as [q(S, alpha) |
+q(S, beta) | q(S, gamma) | S].  The intersection numbers in front stay
+small on dense diagrams, so the Smith form clears them with unit pivots
+before it reaches the classes, whose coefficients would otherwise blow
+up.
+
 A report stores only what validation measured: for each system the
 invariant factors of its class matrix and its first non-isotropic pair,
 for each pair the invariant factors of q and of its double's
@@ -164,9 +174,11 @@ class IntersectionTriple:
 class SystemReport:
     """Lagrangian checks for one curve system, read off what ``validate`` measured.
 
-    ``factors`` are the invariant factors of the g x 2g class matrix and
-    ``nonisotropic`` is the first (i, j, omega) with a nonzero pairing, or
-    None.  Every verdict is a property of these two facts.
+    ``factors`` are the invariant factors of the g x 2g class matrix X,
+    read off the g x 4g matrix [q(X, next) | q(prev, X)^T | X], which has
+    the same ones (module docstring); ``nonisotropic`` is the first (i,
+    j, omega) with a nonzero pairing, or None.  Every verdict is a
+    property of these two facts.
     """
 
     label: str
@@ -215,7 +227,9 @@ class PairReport:
     intersection matrix q.  ``double_factors`` are those of the double's
     H_1: q's own factors when either system is Lagrangian, since H_1 is
     then coker(q), and otherwise those of the stacked 2g x 2g class
-    matrix.  Both tuples end in one zero per free rank, so ``k`` and
+    matrix S, read off the 2g x 5g matrix [q(S, alpha) | q(S, beta) |
+    q(S, gamma) | S] with the same ones (module docstring).  Both tuples
+    end in one zero per free rank, so ``k`` and
     ``double_rank`` count zeros; every verdict is a property.
     """
 
@@ -349,24 +363,39 @@ class InvalidDiagramError(ValueError):
 
 
 def validate(d: TrisectionDiagram) -> ValidationReport:
-    """Measure every homological check and return the report of the facts."""
-    systems = tuple(
-        SystemReport(s.label, invariant_factors(s.classes), first_nonisotropic(s.classes))
-        for s in d.systems
-    )
+    """Measure every homological check and return the report of the facts.
+
+    The triple comes first: each class matrix is reduced with its
+    intersection numbers in front, which keeps its invariant factors
+    (module docstring) and spares the Smith form the classes' blow-up.
+    """
     triple = intersection_triple(d)
+    qs = (triple.q_ab, triple.q_bc, triple.q_ca)
+    systems = tuple(
+        SystemReport(
+            s.label,
+            invariant_factors(_hstack(qs[i], qs[i - 1].transpose(), s.classes)),
+            first_nonisotropic(s.classes),
+        )
+        for i, s in enumerate(d.systems)
+    )
     pairs = []
-    for pair, (l, r), q in zip(
-        PAIRS, ((0, 1), (1, 2), (2, 0)), (triple.q_ab, triple.q_bc, triple.q_ca)
-    ):
+    for pair, (l, r), q in zip(PAIRS, ((0, 1), (1, 2), (2, 0)), qs):
         q_factors = invariant_factors(q)
         if systems[l].ok or systems[r].ok:  # the double's H_1 is coker(q)
             double_factors = q_factors
         else:
             stacked = d.systems[l].classes.vstack(d.systems[r].classes)
-            double_factors = invariant_factors(stacked)
+            paired = (pairing_matrix(stacked, s.classes) for s in d.systems)
+            double_factors = invariant_factors(_hstack(*paired, stacked))
         pairs.append(PairReport(pair, q_factors, double_factors))
     return ValidationReport(d.genus, systems, tuple(pairs), triple)
+
+
+def _hstack(*blocks: IntMatrix) -> IntMatrix:
+    """The blocks side by side; all have the same number of rows."""
+    rows = [sum(parts, ()) for parts in zip(*(b.entries for b in blocks))]
+    return IntMatrix(rows, cols=sum(b.cols for b in blocks))
 
 
 def _fmt_factors(facs: Sequence[int]) -> str:
