@@ -149,7 +149,7 @@ def serialize_diagram(d: TrisectionDiagram) -> str:
     for sys_ in d.systems:
         lines.append(sys_.label)
         for row in sys_.classes.entries:
-            lines.append(" ".join(str(e) for e in row))
+            lines.append(" ".join(map(str, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -180,7 +180,7 @@ def _load_diagram(path: str) -> TrisectionDiagram:
 def _fmt_matrix(m: IntMatrix) -> str:
     if m.rows == 0 or m.cols == 0:
         return "[]"
-    return "[" + "; ".join(" ".join(str(e) for e in row) for row in m.entries) + "]"
+    return "[" + "; ".join(" ".join(map(str, row)) for row in m.entries) + "]"
 
 
 def _fmt_move(move: SlideMove) -> str:
@@ -386,7 +386,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         for failure in exc.report.failures:
             print(f"invalid: {failure}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, IndexError, TypeError) as exc:
+    except (OSError, ValueError, IndexError, TypeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -394,8 +394,8 @@ def validate(d: TrisectionDiagram) -> ValidationReport:
 
 def _hstack(*blocks: IntMatrix) -> IntMatrix:
     """The blocks side by side; all have the same number of rows."""
-    rows = [sum(parts, ()) for parts in zip(*(b.entries for b in blocks))]
-    return IntMatrix(rows, cols=sum(b.cols for b in blocks))
+    rows = tuple(sum(parts, ()) for parts in zip(*(b.entries for b in blocks)))
+    return IntMatrix._of(rows, sum(b.cols for b in blocks))
 
 
 def _fmt_factors(facs: Sequence[int]) -> str:
@@ -445,7 +445,7 @@ def _block_diagonal(blocks: Sequence[IntMatrix]) -> IntMatrix:
         pad, post = (0,) * before, (0,) * (n - before - b.cols)
         rows += [pad + r + post for r in b.entries]
         before += b.cols
-    return IntMatrix(rows, cols=n)
+    return IntMatrix._of(tuple(rows), n)
 
 
 def parameters(d: TrisectionDiagram) -> tuple[int, int]:

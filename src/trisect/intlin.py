@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import add, mul, neg
 from typing import Iterable, Sequence, Union
 
 
@@ -24,6 +24,14 @@ class IntMatrix:
     ``entries`` is a tuple of row tuples.  Instances compare and hash by
     value, so they can be used as dict keys and set members.  ``cols``
     must be passed explicitly when constructing a matrix with zero rows.
+
+    The public constructor is the entry check: it requires exact ``int``
+    entries (no bools, no floats) and rows of one width.  Data from
+    outside the package comes in through it.  Arithmetic on matrices that
+    were already checked (sums, products, transposes, stacks, the Smith
+    form and the matrices built from checked ones elsewhere in the
+    package) builds its result through the private `_of`, which stores
+    the row tuples it is given without looking at them again.
     """
 
     rows: int
@@ -48,9 +56,14 @@ class IntMatrix:
             width = 0 if cols is None else cols
             if width < 0:
                 raise ValueError("cols must be nonnegative")
-        object.__setattr__(self, "rows", len(packed))
-        object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "entries", tuple(packed))
+        vars(self).update(rows=len(packed), cols=width, entries=tuple(packed))
+
+    @classmethod
+    def _of(cls, entries: tuple[tuple[int, ...], ...], cols: int) -> "IntMatrix":
+        """A matrix of trusted rows: a tuple of ``cols``-wide tuples of exact ints."""
+        m = object.__new__(cls)
+        vars(m).update(rows=len(entries), cols=cols, entries=entries)
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -79,9 +92,9 @@ class IntMatrix:
             return NotImplemented
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} + {other.shape}")
-        return IntMatrix(
-            [[a + b for a, b in zip(r, s)] for r, s in zip(self.entries, other.entries)],
-            cols=self.cols,
+        return IntMatrix._of(
+            tuple(tuple(map(add, r, s)) for r, s in zip(self.entries, other.entries)),
+            self.cols,
         )
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
@@ -90,7 +103,7 @@ class IntMatrix:
         return self + (-other)
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-e for e in r] for r in self.entries], cols=self.cols)
+        return IntMatrix._of(tuple(tuple(map(neg, r)) for r in self.entries), self.cols)
 
     def __mul__(self, scalar: int) -> "IntMatrix":
         if not isinstance(scalar, int):
@@ -105,20 +118,19 @@ class IntMatrix:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         cols = list(zip(*other.entries)) if other.rows else [()] * other.cols
-        return IntMatrix(
-            [[sum(map(mul, row, col)) for col in cols] for row in self.entries],
-            cols=other.cols,
+        return IntMatrix._of(
+            tuple(tuple([sum(map(mul, row, col)) for col in cols]) for row in self.entries),
+            other.cols,
         )
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            [tuple(r[j] for r in self.entries) for j in range(self.cols)], cols=self.rows
-        )
+        t = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
+        return IntMatrix._of(t, self.rows)
 
     def vstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.cols:
             raise ValueError(f"column mismatch {self.cols} vs {other.cols}")
-        return IntMatrix(self.entries + other.entries, cols=self.cols)
+        return IntMatrix._of(self.entries + other.entries, self.cols)
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "IntMatrix":
         """Rows r0:r1, columns c0:c1 (half-open)."""
@@ -179,7 +191,7 @@ class SmithDecomposition:
         ops = self._row_ops
         if ops is not None:
             n = self.d.rows
-            object.__setattr__(self, "_u", IntMatrix(_replay(n, ops), cols=n))
+            object.__setattr__(self, "_u", IntMatrix._of(_replay(n, ops), n))
             object.__setattr__(self, "_row_ops", None)
         return self._u
 
@@ -188,7 +200,7 @@ class SmithDecomposition:
         ops = self._col_ops
         if ops is not None:
             n = self.d.cols
-            object.__setattr__(self, "_v", IntMatrix(zip(*_replay(n, ops)), cols=n))
+            object.__setattr__(self, "_v", IntMatrix._of(tuple(zip(*_replay(n, ops))), n))
             object.__setattr__(self, "_col_ops", None)
         return self._v
 
@@ -212,7 +224,7 @@ class SmithDecomposition:
         return sum(1 for e in self.diagonal if e)
 
 
-def _replay(n: int, ops: list) -> list[list[int]]:
+def _replay(n: int, ops: list) -> tuple[tuple[int, ...], ...]:
     """The n x n identity with the recorded row operations applied in order:
     ("swap", i, j), ("add", i, j, q) for row_i += q * row_j, ("neg", i)."""
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -226,7 +238,7 @@ def _replay(n: int, ops: list) -> list[list[int]]:
             rows[i], rows[j] = rows[j], rows[i]
         else:
             rows[i] = [-x for x in rows[i]]
-    return rows
+    return tuple(map(tuple, rows))
 
 
 def snf(m: IntMatrix) -> SmithDecomposition:
@@ -347,7 +359,7 @@ def snf(m: IntMatrix) -> SmithDecomposition:
     d = [[0] * nc for _ in range(nr)]
     for i, p in enumerate(diag):
         d[i][i] = p
-    dec = SmithDecomposition(IntMatrix(d, cols=nc), None, None)
+    dec = SmithDecomposition(IntMatrix._of(tuple(map(tuple, d)), nc), None, None)
     object.__setattr__(dec, "_row_ops", row_ops)
     object.__setattr__(dec, "_col_ops", col_ops)
     return dec
@@ -409,7 +421,7 @@ def _hermite(rows: Sequence[Sequence[int]], ncols: int) -> IntMatrix:
             if q:
                 work[i] = [x - q * y for x, y in zip(work[i], work[pr])]
         pr += 1
-    return IntMatrix(work[:pr], cols=ncols)
+    return IntMatrix._of(tuple(map(tuple, work[:pr])), ncols)
 
 
 Rational = Union[int, Fraction]
@@ -509,4 +521,4 @@ def random_unimodular(n: int, seed: int, op_count: int) -> IntMatrix:
             ops.append(("swap", i, j))
         else:
             ops.append(("neg", i))
-    return IntMatrix(_replay(n, ops), cols=n)
+    return IntMatrix._of(_replay(n, ops), n)

@@ -58,6 +58,8 @@ class SlideMove:
     def __post_init__(self):
         if self.system not in LABELS:
             raise ValueError(f"system must be one of {LABELS}")
+        if not all(type(v) is int for v in (self.target, self.source, self.sign)):
+            raise TypeError("target, source and sign must be int")  # bool subclasses int
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         if self.target < 0 or self.source < 0:
@@ -75,11 +77,11 @@ def handle_slide(d: TrisectionDiagram, move: SlideMove) -> TrisectionDiagram:
     if move.target >= g or move.source >= g:
         raise IndexError(f"slide indices out of range for genus {g}")
     sys = d.system(move.system)
-    rows = [list(r) for r in sys.classes.entries]
-    rows[move.target] = [
+    rows = list(sys.classes.entries)
+    rows[move.target] = tuple(
         a + move.sign * b for a, b in zip(rows[move.target], rows[move.source])
-    ]
-    new_sys = CurveSystem(g, IntMatrix(rows, cols=2 * g), move.system)
+    )
+    new_sys = CurveSystem(g, IntMatrix._of(tuple(rows), sys.classes.cols), move.system)
     return dataclasses.replace(d, **{move.system: new_sys}, name=None)
 
 
@@ -109,7 +111,7 @@ def direct_sum(*diagrams: TrisectionDiagram) -> TrisectionDiagram:
             for r in d.system(label).classes.entries:
                 rows.append(pad + r[:h] + post + pad + r[h:] + post)
             before += h
-        return CurveSystem(g, IntMatrix(rows, cols=2 * g), label)
+        return CurveSystem(g, IntMatrix._of(tuple(rows), 2 * g), label)
 
     total = TrisectionDiagram(g, *map(embed, LABELS))
     carry_sum_report(total, diagrams)
@@ -200,17 +202,10 @@ def reverse_orientation(d: TrisectionDiagram) -> TrisectionDiagram:
     """
     require_valid(d)
     g = d.genus
-    systems = [
-        CurveSystem(
-            g,
-            IntMatrix(
-                [r[:g] + tuple(-e for e in r[g:]) for r in sys.classes.entries],
-                cols=2 * g,
-            ),
-            sys.label,
-        )
-        for sys in d.systems
-    ]
+    systems = []
+    for sys in d.systems:
+        rows = tuple(r[:g] + tuple(-e for e in r[g:]) for r in sys.classes.entries)
+        systems.append(CurveSystem(g, IntMatrix._of(rows, 2 * g), sys.label))
     return TrisectionDiagram(g, *systems, name=None)
 
 

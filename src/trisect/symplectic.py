@@ -45,7 +45,7 @@ class SymplecticLattice:
         for i in range(g):
             rows[i][g + i] = 1
             rows[g + i][i] = -1
-        return IntMatrix(rows, cols=2 * g)
+        return IntMatrix._of(tuple(map(tuple, rows)), 2 * g)
 
     def x(self, i: int) -> tuple[int, ...]:
         """The basis vector x_(i+1), 0-based."""
@@ -159,8 +159,8 @@ def pairing_matrix(left, right) -> IntMatrix:
     if a.cols % 2:
         raise ValueError("ambient rank must be even")
     duals = _duals(b)
-    return IntMatrix(
-        [[sum(map(mul, ra, db)) for db in duals] for ra in a.entries], cols=b.rows
+    return IntMatrix._of(
+        tuple(tuple([sum(map(mul, ra, db)) for db in duals]) for ra in a.entries), b.rows
     )
 
 
@@ -254,4 +254,4 @@ def random_symplectic(genus: int, seed: int, count: int) -> IntMatrix:
             w = c * sum(map(mul, r, dual))
             if w:
                 r[:] = [x + w * y for x, y in zip(r, u)]
-    return IntMatrix(rows, cols=dim)
+    return IntMatrix._of(tuple(map(tuple, rows)), dim)

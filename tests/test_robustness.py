@@ -57,6 +57,17 @@ def test_huge_entry_in_matrix_file_is_a_line_numbered_parse_error(tmp_path, digi
     assert err.startswith("parse error: line 3: ")
 
 
+@pytest.mark.parametrize("count", [str(2**63), "100000000000000000000"])
+def test_stabilization_count_past_the_index_range_is_a_usage_error(tmp_path, count):
+    # only counts of at least 2**63: the list of blocks fails before it is
+    # allocated, where a smaller huge count would really try to build it
+    path = tmp_path / "cp2.tris"
+    path.write_text(cli("example", "cp2")[1])
+    code, out, err = cli("stabilize", str(path), "-n", count)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_library_has_no_bare_asserts():
     package = Path(trisect.__file__).parent
     found = [
