@@ -14,12 +14,17 @@ The moves that preserve the presented 4-manifold are:
 ``compare`` searches the handle-slide orbit only, breadth-first with a
 bounded budget: it never stabilizes and never searches the
 diffeomorphism orbit, so its negative answers are "distinct by
-invariant" (a certificate) or "unknown" (budget exhausted), never a
-claim of inequivalence.  A slide touches the classes of one system
-only, so the slide orbit is a product of three per-system orbits, and
-the search runs on triples of per-system state ids rather than on
-diagrams; it visits the same nodes in the same order as a search over
-diagrams would, so verdicts and certificates are the same.
+invariant" (a certificate) or "unknown" (budget exhausted, or the
+second diagram outside the first's slide orbit), never a claim of
+inequivalence.  A slide touches the classes of one system only and acts
+on them on the left, by an elementary matrix E of SL(g, Z), so the
+slide orbit is a product of three per-system orbits.  A system X of the
+first diagram is primitive of rank g, so its slide images are the
+products M @ X for M in SL(g, Z), and M is determined by M @ X.  The
+search therefore runs on triples of g x g transition matrices, all
+three starting at the identity in one table that the systems share; it
+visits the same nodes in the same order as a search over diagrams
+would, so verdicts and certificates are the same.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from .diagram import (
     require_valid,
     signature,
 )
-from .intlin import IntMatrix
+from .intlin import IntMatrix, _hermite
 from .symplectic import is_symplectic
 
 
@@ -222,8 +227,9 @@ class EquivalenceVerdict:
     kind is one of IDENTICAL, SLIDE_EQUIVALENT, DISTINCT, UNKNOWN.  For
     SLIDE_EQUIVALENT the certificate lists moves carrying the first
     diagram onto the second; for DISTINCT the invariant name and both
-    values are recorded.  UNKNOWN means the search budget ran out and
-    certifies nothing.
+    values are recorded.  UNKNOWN means the search budget ran out, or the
+    second diagram lies outside the first's slide orbit, and certifies
+    nothing.
     """
 
     kind: str
@@ -251,7 +257,7 @@ def _all_moves(g: int) -> Iterator[SlideMove]:
 
 
 def _slid_rows(rows: tuple[tuple[int, ...], ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """The class rows of one system after each slide, in move order."""
+    """The rows after each slide, in move order (target, source, sign)."""
     g = len(rows)
     for target in range(g):
         head, row, tail = rows[:target], rows[target], rows[target + 1 :]
@@ -261,6 +267,23 @@ def _slid_rows(rows: tuple[tuple[int, ...], ...]) -> Iterator[tuple[tuple[int, .
             other = rows[source]
             yield head + (tuple(a + b for a, b in zip(row, other)),) + tail
             yield head + (tuple(a - b for a, b in zip(row, other)),) + tail
+
+
+def _transition(x1: IntMatrix, x2: IntMatrix) -> IntMatrix | None:
+    """The g x g matrix M with M @ x1 == x2, or None if no integral M exists.
+
+    x1 must be primitive of rank g, so its columns span Z^g.  The rows
+    of [x1^T | x2^T] then span a lattice whose projection onto the first
+    g coordinates is onto, so their Hermite form begins with the rows
+    [I | N].  Row i of it is (x1 @ c, x2 @ c) for some c with x1 @ c =
+    e_i, so an integral M exists iff those are all the rows, and then
+    N = M^T.
+    """
+    g = x1.rows
+    h = _hermite([a + b for a, b in zip(zip(*x1.entries), zip(*x2.entries))], 2 * g)
+    if h.rows != g:
+        return None
+    return IntMatrix._of(tuple(zip(*(r[g:] for r in h.entries))), g)
 
 
 def compare(
@@ -280,13 +303,21 @@ def compare(
     number of distinct diagrams visited.  The search is deterministic,
     so equal inputs always give equal verdicts.
 
-    A search node is a triple of ids, one per system, each naming a
-    tuple of class rows in a table interned for this search.  This is
-    exact: a slide changes the rows of one system only, and which rows
-    it yields depends on those rows alone, so the slides of a row tuple
-    are computed once, on first use, and a node's successors are the
-    node with one id replaced, in move order (system, target, source,
-    sign).  Two nodes are equal iff their diagrams are.
+    Before searching, each system of d2 is solved for the transition
+    matrix M with M @ X1 == X2, X1 being d1's system.  Slides multiply
+    X1 on the left by matrices of determinant 1, so if some system has
+    no integral M, or an M of determinant other than +1, d2 lies outside
+    d1's slide orbit; the search could only run out, and the verdict is
+    UNKNOWN at once.
+
+    A search node is a triple of ids, one per system, each naming a g x g
+    transition matrix in one table interned for this search and shared
+    by the three systems, which all start at the identity.  This is
+    exact: a slide E takes M @ X1 to (E @ M) @ X1, and M -> M @ X1 is
+    injective because X1 has rank g, so the slides of a matrix are
+    computed once, on first use, and a node's successors are the node
+    with one id replaced, in move order (system, target, source, sign).
+    Two nodes are equal iff their diagrams are.
     """
     for name, fn in _INVARIANT_CHECKS:  # the first check requires validity
         a, b = fn(d1), fn(d2)
@@ -294,27 +325,35 @@ def compare(
             return EquivalenceVerdict(DISTINCT, invariant=name, left=a, right=b)
     if d1 == d2:
         return EquivalenceVerdict(IDENTICAL)
+    # validity makes each system of d1 primitive of rank g
+    transitions = [
+        _transition(s.classes, t.classes) for s, t in zip(d1.systems, d2.systems)
+    ]
+    if any(m is None or m.det() != 1 for m in transitions):
+        return EquivalenceVerdict(UNKNOWN)
 
     ids: dict[tuple[tuple[int, ...], ...], int] = {}
-    rows_of: list[tuple[tuple[int, ...], ...]] = []
+    states: list[tuple[tuple[int, ...], ...]] = []
     slid: list[list[int] | None] = []
 
-    def intern(rows):
-        i = ids.get(rows)
+    def intern(m):
+        i = ids.get(m)
         if i is None:
-            i = ids[rows] = len(rows_of)
-            rows_of.append(rows)
+            i = ids[m] = len(states)
+            states.append(m)
             slid.append(None)
         return i
 
     def successors(i):
         out = slid[i]
         if out is None:
-            out = slid[i] = [intern(rows) for rows in _slid_rows(rows_of[i])]
+            out = slid[i] = [intern(m) for m in _slid_rows(states[i])]
         return out
 
-    start = tuple(intern(s.classes.entries) for s in d1.systems)
-    goal = tuple(intern(s.classes.entries) for s in d2.systems)
+    g = d1.genus
+    one = intern(tuple(tuple(int(i == j) for j in range(g)) for i in range(g)))
+    start = (one, one, one)
+    goal = tuple(intern(m.entries) for m in transitions)
     # each visited node maps to (the node it was first reached from, move index)
     parent: dict[tuple[int, int, int], tuple | None] = {start: None}
     frontier = [start]
@@ -335,7 +374,7 @@ def compare(
                 nodes += 1
                 if nd == goal:
                     return EquivalenceVerdict(
-                        SLIDE_EQUIVALENT, certificate=_certificate(parent, nd, d1.genus)
+                        SLIDE_EQUIVALENT, certificate=_certificate(parent, nd, g)
                     )
                 if nodes >= max_nodes:
                     return EquivalenceVerdict(UNKNOWN)
