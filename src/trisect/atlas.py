@@ -30,6 +30,7 @@ from math import gcd
 from typing import Callable, Sequence
 
 from .diagram import LABELS, TrisectionDiagram, validate
+from .intlin import _require_int
 from .moves import direct_sum, stabilization_block
 
 
@@ -156,6 +157,7 @@ def mapping_torus_params(fiber_heegaard_genus: int) -> FibrationParams:
     circle factor forces.
     """
     h = fiber_heegaard_genus
+    _require_int(h, "Heegaard genus")
     if h < 0:
         raise ValueError("Heegaard genus must be nonnegative")
     return FibrationParams(genus=6 * h + 1, k=2 * h + 1, chi=0)
@@ -168,6 +170,7 @@ def bundle_over_s2_params(fiber_genus: int) -> FibrationParams:
     k = 4f + 1, so chi = 4 - 4f, matching chi of a product of surfaces.
     """
     f = fiber_genus
+    _require_int(f, "fiber genus")
     if f < 0:
         raise ValueError("fiber genus must be nonnegative")
     return FibrationParams(genus=8 * f + 5, k=4 * f + 1, chi=4 - 4 * f)

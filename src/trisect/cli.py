@@ -19,13 +19,15 @@ serializing any accepted file yields that canonical form.
 
 Exit codes: 0 success (valid / equivalent / identical), 1 invalid
 diagram or distinct-by-invariant, 2 usage or parse error, 3 comparison
-budget exhausted (unknown).
+budget exhausted (unknown), 141 (128 + SIGPIPE) the reader of stdout
+stopped early.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import re
 import sys
 from typing import Sequence
@@ -191,6 +193,12 @@ def _fmt_move(move: SlideMove) -> str:
     )
 
 
+def _emit(d: TrisectionDiagram) -> int:
+    """Print d in the canonical file format, and return exit code 0."""
+    sys.stdout.write(serialize_diagram(d))
+    return 0
+
+
 def _cmd_validate(args) -> int:
     report = validate(_load_diagram(args.file))
     for line in report.lines():
@@ -220,8 +228,7 @@ def _cmd_stabilize(args) -> int:
         raise ValueError("-n must be nonnegative")
     if args.n:  # -n 0 prints the input unvalidated
         d = connect_sum(d, *[stabilization_block()] * args.n)
-    sys.stdout.write(serialize_diagram(d))
-    return 0
+    return _emit(d)
 
 
 def _cmd_slide(args) -> int:
@@ -234,32 +241,27 @@ def _cmd_slide(args) -> int:
         source=args.source - 1,
         sign=1 if args.sign == "+" else -1,
     )
-    sys.stdout.write(serialize_diagram(handle_slide(d, move)))
-    return 0
+    return _emit(handle_slide(d, move))
 
 
 def _cmd_diffeo(args) -> int:
     d = _load_diagram(args.file)
     s = parse_int_matrix(_read(args.matrix))
-    sys.stdout.write(serialize_diagram(apply_diffeomorphism(d, s)))
-    return 0
+    return _emit(apply_diffeomorphism(d, s))
 
 
 def _cmd_sum(args) -> int:
     d1 = _load_diagram(args.file1)
     d2 = _load_diagram(args.file2)
-    sys.stdout.write(serialize_diagram(connect_sum(d1, d2)))
-    return 0
+    return _emit(connect_sum(d1, d2))
 
 
 def _cmd_reverse(args) -> int:
-    sys.stdout.write(serialize_diagram(reverse_orientation(_load_diagram(args.file))))
-    return 0
+    return _emit(reverse_orientation(_load_diagram(args.file)))
 
 
 def _cmd_example(args) -> int:
-    sys.stdout.write(serialize_diagram(builtin(args.name)))
-    return 0
+    return _emit(builtin(args.name))
 
 
 def _cmd_examples(args) -> int:
@@ -386,13 +388,24 @@ def run(argv: Sequence[str] | None = None) -> int:
         for failure in exc.report.failures:
             print(f"invalid: {failure}", file=sys.stderr)
         return 1
+    except BrokenPipeError:  # the reader stopped early; main() handles it
+        raise
     except (OSError, ValueError, IndexError, TypeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        if sys.stdout is not None:  # None when started with fd 1 closed
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # exit as a writer killed by SIGPIPE would, and point stdout at
+        # devnull so that the interpreter's final flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
-from .intlin import IntMatrix, invariant_factors
+from .intlin import IntMatrix, _require_int, invariant_factors
 from .symplectic import (
     LagrangianSublattice,
     first_nonisotropic,
@@ -96,8 +96,7 @@ class CurveSystem:
     def __post_init__(self):
         if self.label not in LABELS:
             raise ValueError(f"label must be one of {LABELS}, got {self.label!r}")
-        if type(self.genus) is not int:  # bool subclasses int
-            raise TypeError(f"genus must be int, got {type(self.genus).__name__}")
+        _require_int(self.genus, "genus")
         if self.genus < 0:
             raise ValueError("genus must be nonnegative")
         if self.classes.rows != self.genus or self.classes.cols != 2 * self.genus:
@@ -122,8 +121,7 @@ class TrisectionDiagram:
     name: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if type(self.genus) is not int:  # bool subclasses int
-            raise TypeError(f"genus must be int, got {type(self.genus).__name__}")
+        _require_int(self.genus, "genus")
         for sys, label in zip((self.alpha, self.beta, self.gamma), LABELS):
             if sys.label != label:
                 raise ValueError(f"system in slot {label} is labeled {sys.label!r}")

@@ -17,6 +17,12 @@ from operator import add, mul, neg
 from typing import Iterable, Sequence, Union
 
 
+def _require_int(value, what: str) -> None:
+    """Raise TypeError unless value is exactly an int (bool subclasses int)."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be int, got {type(value).__name__}")
+
+
 @dataclass(frozen=True, init=False, repr=False)
 class IntMatrix:
     """An immutable matrix of Python ints.
@@ -54,6 +60,7 @@ class IntMatrix:
                 raise ValueError(f"cols={cols} does not match row length {width}")
         else:
             width = 0 if cols is None else cols
+            _require_int(width, "cols")
             if width < 0:
                 raise ValueError("cols must be nonnegative")
         vars(self).update(rows=len(packed), cols=width, entries=tuple(packed))

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from operator import add, sub
 from typing import Any, Iterator
 
 from .diagram import (
@@ -43,7 +44,7 @@ from .diagram import (
     require_valid,
     signature,
 )
-from .intlin import IntMatrix, _hermite
+from .intlin import IntMatrix, _hermite, _require_int
 from .symplectic import is_symplectic
 
 
@@ -63,8 +64,8 @@ class SlideMove:
     def __post_init__(self):
         if self.system not in LABELS:
             raise ValueError(f"system must be one of {LABELS}")
-        if not all(type(v) is int for v in (self.target, self.source, self.sign)):
-            raise TypeError("target, source and sign must be int")  # bool subclasses int
+        for name in ("target", "source", "sign"):
+            _require_int(getattr(self, name), name)
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         if self.target < 0 or self.source < 0:
@@ -83,11 +84,14 @@ def handle_slide(d: TrisectionDiagram, move: SlideMove) -> TrisectionDiagram:
         raise IndexError(f"slide indices out of range for genus {g}")
     sys = d.system(move.system)
     rows = list(sys.classes.entries)
-    rows[move.target] = tuple(
-        a + move.sign * b for a, b in zip(rows[move.target], rows[move.source])
-    )
+    rows[move.target] = _slid_row(rows[move.target], rows[move.source], move.sign)
     new_sys = CurveSystem(g, IntMatrix._of(tuple(rows), sys.classes.cols), move.system)
     return dataclasses.replace(d, **{move.system: new_sys}, name=None)
+
+
+def _slid_row(row: tuple[int, ...], other: tuple[int, ...], sign: int) -> tuple[int, ...]:
+    """row + sign * other, for sign +1 or -1: the target's row after one slide."""
+    return tuple(map(add if sign > 0 else sub, row, other))
 
 
 def direct_sum(*diagrams: TrisectionDiagram) -> TrisectionDiagram:
@@ -265,8 +269,8 @@ def _slid_rows(rows: tuple[tuple[int, ...], ...]) -> Iterator[tuple[tuple[int, .
             if target == source:
                 continue
             other = rows[source]
-            yield head + (tuple(a + b for a, b in zip(row, other)),) + tail
-            yield head + (tuple(a - b for a, b in zip(row, other)),) + tail
+            yield head + (_slid_row(row, other, 1),) + tail
+            yield head + (_slid_row(row, other, -1),) + tail
 
 
 def _transition(x1: IntMatrix, x2: IntMatrix) -> IntMatrix | None:
@@ -318,6 +322,14 @@ def compare(
     computed once, on first use, and a node's successors are the node
     with one id replaced, in move order (system, target, source, sign).
     Two nodes are equal iff their diagrams are.
+
+    No layer of the search is empty, so the loop has no exit for one.
+    It starts only when some transition matrix is not the identity, so
+    g >= 2: at g <= 1 a determinant-1 transition is the identity, and
+    equal diagrams were answered above.  The slide graph of SL(g, Z)^3
+    is then infinite and connected with finite degrees, so every
+    breadth-first layer is nonempty, and the search stops only at the
+    goal, at max_nodes or at max_depth.
     """
     for name, fn in _INVARIANT_CHECKS:  # the first check requires validity
         a, b = fn(d1), fn(d2)
@@ -357,7 +369,6 @@ def compare(
     # each visited node maps to (the node it was first reached from, move index)
     parent: dict[tuple[int, int, int], tuple | None] = {start: None}
     frontier = [start]
-    nodes = 1
     for _ in range(max_depth):
         next_frontier = []
         for node in frontier:
@@ -371,17 +382,14 @@ def compare(
                 if nd in parent:
                     continue
                 parent[nd] = (node, k)
-                nodes += 1
                 if nd == goal:
                     return EquivalenceVerdict(
                         SLIDE_EQUIVALENT, certificate=_certificate(parent, nd, g)
                     )
-                if nodes >= max_nodes:
+                if len(parent) >= max_nodes:
                     return EquivalenceVerdict(UNKNOWN)
                 next_frontier.append(nd)
         frontier = next_frontier
-        if not frontier:
-            break
     return EquivalenceVerdict(UNKNOWN)
 
 

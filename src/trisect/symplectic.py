@@ -21,7 +21,7 @@ from typing import Sequence
 import random
 
 from . import intlin
-from .intlin import IntMatrix, is_primitive, symmetric_signature
+from .intlin import IntMatrix, _require_int, is_primitive, symmetric_signature
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,7 @@ class SymplecticLattice:
     genus: int
 
     def __post_init__(self):
+        _require_int(self.genus, "genus")
         if self.genus < 0:
             raise ValueError("genus must be nonnegative")
 
@@ -70,8 +71,7 @@ def omega(u: Sequence[int], v: Sequence[int]) -> int:
         raise ValueError("vectors live in different lattices")
     if len(u) % 2:
         raise ValueError("vectors must have even length")
-    g = len(u) // 2
-    return sum(u[i] * v[g + i] - u[g + i] * v[i] for i in range(g))
+    return sum(map(mul, u, _dual(v)))
 
 
 def is_lagrangian(basis: IntMatrix) -> bool:
@@ -102,10 +102,15 @@ def first_nonisotropic(rows: IntMatrix) -> tuple[int, int, int] | None:
     return None
 
 
+def _dual(v: Sequence[int]) -> tuple[int, ...]:
+    """The row v = (v_x, v_y) as (v_y, -v_x), so omega(u, v) = u . _dual(v)."""
+    g = len(v) // 2
+    return (*v[g:], *(-e for e in v[:g]))
+
+
 def _duals(m: IntMatrix) -> list[tuple[int, ...]]:
-    """Each row v = (v_x, v_y) as (v_y, -v_x), so omega(u, v) = u . dual(v)."""
-    g = m.cols // 2
-    return [v[g:] + tuple(-e for e in v[:g]) for v in m.entries]
+    """The `_dual` of each row of m."""
+    return [_dual(v) for v in m.entries]
 
 
 @dataclass(frozen=True)
@@ -120,6 +125,7 @@ class LagrangianSublattice:
     basis: IntMatrix
 
     def __post_init__(self):
+        _require_int(self.genus, "genus")
         if self.basis.rows != self.genus or self.basis.cols != 2 * self.genus:
             raise ValueError(
                 f"basis shape {self.basis.shape} does not match genus {self.genus}"
@@ -249,7 +255,7 @@ def random_symplectic(genus: int, seed: int, count: int) -> IntMatrix:
         if all(e == 0 for e in u):
             u[rng.randrange(dim)] = 1
         c = rng.choice((1, 1, -1, -1, 2))
-        dual = u[genus:] + [-e for e in u[:genus]]  # omega(r, u) = r . dual
+        dual = _dual(u)  # omega(r, u) = r . dual
         for r in rows:
             w = c * sum(map(mul, r, dual))
             if w:
