@@ -195,7 +195,7 @@ def _fmt_move(move: SlideMove) -> str:
 
 def _emit(d: TrisectionDiagram) -> int:
     """Print d in the canonical file format, and return exit code 0."""
-    sys.stdout.write(serialize_diagram(d))
+    print(serialize_diagram(d), end="")  # print skips a None sys.stdout (fd 1 closed)
     return 0
 
 

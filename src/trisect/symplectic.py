@@ -21,7 +21,14 @@ from typing import Sequence
 import random
 
 from . import intlin
-from .intlin import IntMatrix, _require_int, is_primitive, symmetric_signature
+from .intlin import (
+    IntMatrix,
+    _dots,
+    _large_dots,
+    _require_int,
+    is_primitive,
+    symmetric_signature,
+)
 
 
 @dataclass(frozen=True)
@@ -94,8 +101,16 @@ def first_nonisotropic(rows: IntMatrix) -> tuple[int, int, int] | None:
     if len(r) > 1 and rows.cols % 2:
         raise ValueError("vectors must have even length")
     duals = _duals(rows)
-    for i in range(len(r)):
-        for j in range(i + 1, len(r)):
+    n = len(r)
+    pairs = _large_dots(r, duals)
+    if pairs is not None:
+        return next(
+            ((i, j, pairs[i][j]) for i in range(n) for j in range(i + 1, n) if pairs[i][j]), None
+        )
+    # where the product is plain, its upper triangle is enough, up to the
+    # first nonzero pairing
+    for i in range(n):
+        for j in range(i + 1, n):
             val = sum(map(mul, r[i], duals[j]))
             if val != 0:
                 return (i, j, val)
@@ -164,10 +179,7 @@ def pairing_matrix(left, right) -> IntMatrix:
         raise ValueError("ambient genus mismatch")
     if a.cols % 2:
         raise ValueError("ambient rank must be even")
-    duals = _duals(b)
-    return IntMatrix._of(
-        tuple(tuple([sum(map(mul, ra, db)) for db in duals]) for ra in a.entries), b.rows
-    )
+    return IntMatrix._of(_dots(a.entries, _duals(b)), b.rows)
 
 
 def is_symplectic(s: IntMatrix) -> bool:

@@ -5,7 +5,9 @@ formulas they replaced, and `trisect invariants` makes no per-pair
 The oracle keeps the replaced code: the Smith form that updated v column by
 column and cleared the pivot row by whole-column operations, pairings
 through `omega`, `is_symplectic` as s @ j @ s^T == j, and the matrix
-product that built each column by index.
+product that built each column by index.  The packed product kernel is
+checked against plain dot products at every size, whatever the size at
+which `_dots` starts to use it.
 """
 
 import contextlib
@@ -13,7 +15,7 @@ import io
 import random
 import sys
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trisect
@@ -29,7 +31,7 @@ from trisect import (
     snf,
 )
 from trisect.cli import run, serialize_diagram
-from trisect.intlin import SmithDecomposition
+from trisect.intlin import _WORD_ARRAY, SmithDecomposition, _dots, _packed_dots
 from trisect.symplectic import _rows_of, first_nonisotropic
 
 from helpers import random_valid_diagram, shuffle_diagram
@@ -177,13 +179,13 @@ seeds = st.integers(min_value=0, max_value=10**6)
 
 
 @st.composite
-def matrices(draw, rows=None, max_side=10):
-    """Sparse or dense integer matrices of shape 0..max_side (or the given
-    number of rows), entries up to a drawn bound between 1 and 10^6,
+def matrices(draw, rows=None, min_side=0, max_side=10):
+    """Sparse or dense integer matrices of shape min_side..max_side (or the
+    given number of rows), entries up to a drawn bound between 1 and 10^6,
     optionally with a row tripled or made dependent on two others, so that
     non-unit pivots and the divisibility fix-up run."""
-    nr = draw(st.integers(0, max_side)) if rows is None else rows
-    nc = draw(st.integers(0, max_side))
+    nr = draw(st.integers(min_side, max_side)) if rows is None else rows
+    nc = draw(st.integers(min_side, max_side))
     bound = draw(st.sampled_from((1, 2, 3, 9, 1000, 10**6)))
     density = draw(st.sampled_from((0.15, 0.5, 1.0)))
     rng = random.Random(draw(seeds))
@@ -239,6 +241,10 @@ def test_matmul_matches_the_oracle(data):
     b = data.draw(matrices(rows=a.cols))
     assert a @ b == oracle_matmul(a, b)
     assert a @ b @ b.transpose() == oracle_matmul(oracle_matmul(a, b), b.transpose())
+    # at least 12 x 12 x 12 multiplications, so the packed product runs
+    a = data.draw(matrices(min_side=12, max_side=30))
+    b = data.draw(matrices(rows=a.cols, min_side=12, max_side=30))
+    assert a @ b == oracle_matmul(a, b)
 
 
 def test_matmul_of_empty_factors_matches_the_oracle():
@@ -248,6 +254,66 @@ def test_matmul_of_empty_factors_matches_the_oracle():
         assert a @ b == oracle_matmul(a, b)
         if q == 0:
             assert a @ b == IntMatrix.zeros(p, r)
+
+
+def oracle_dots(a_rows, b_rows):
+    return tuple(tuple(sum(x * y for x, y in zip(a, b)) for b in b_rows) for a in a_rows)
+
+
+# exponents k with products of entries near 2**k: the packed product takes
+# bounds below 2**63, and _dots takes plain products from there up
+EDGES = (0, 1, 31, 62, 63, 64, 65, 126, 127, 128, 200)
+
+
+@st.composite
+def dot_operands(draw):
+    """Row families a and b of one length, shapes 0..40, with entries that
+    reach +-2**ka and +-2**kb where ka + kb is drawn near an edge."""
+    nr, nc, length = (draw(st.integers(0, 40)) for _ in range(3))
+    k = draw(st.sampled_from(EDGES))
+    ka = draw(st.integers(0, k))
+    fill = draw(st.sampled_from(("extreme", "edges", "random", "sparse")))
+    rng = random.Random(draw(seeds))
+
+    def entry(bits):
+        top = 1 << bits
+        if fill == "extreme":  # every dot product is +-bound or close
+            return rng.choice((top, -top))
+        if fill == "edges":
+            return rng.choice((top, -top, top - 1, 1 - top, top + 1, -top - 1, 0, 1, -1))
+        if fill == "sparse" and rng.random() < 0.8:
+            return 0
+        return rng.randint(-top - 1, top + 1)
+
+    a = tuple(tuple(entry(ka) for _ in range(length)) for _ in range(nr))
+    b = tuple(tuple(entry(k - ka) for _ in range(length)) for _ in range(nc))
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(dot_operands())
+@example((((2**63 - 1,),), ((1,),)))  # the largest bound the packed product takes
+@example((((-(2**63),),), ((1,),)))  # the smallest bound it leaves to plain products
+@example((((-(2**63),),), ((-1,),)))
+@example((((2**64,), (-(2**64),)), ((2**63 - 1,), (-(2**63),))))  # near 2**127
+@example((((-(2**127),),), ((-1,), (1,))))
+@example((((0, 0),), ((2**100, -(2**100)),)))  # a zero factor: bound 0
+@example((((), ()), ((), (), ())))  # zero-length rows
+@example(((), ((1, 2),)))  # no rows
+@example((((1, 2),), ()))  # no columns
+def test_packed_dots_match_the_oracle(operands):
+    a, b = operands
+    want = oracle_dots(a, b)
+    bound = (
+        (len(b[0]) if b else 0)
+        * max((abs(x) for row in a for x in row), default=0)
+        * max((abs(x) for row in b for x in row), default=0)
+    )
+    takes = bound == 0 or (_WORD_ARRAY and bound < 2**63)
+    assert _packed_dots(a, b) == (want if takes else None)
+    got = _dots(a, b)
+    assert got == want
+    assert all(type(e) is int for row in got for e in row)
 
 
 def perturb(classes: IntMatrix, rng: random.Random) -> IntMatrix:
@@ -260,10 +326,15 @@ def perturb(classes: IntMatrix, rng: random.Random) -> IntMatrix:
 
 
 @settings(max_examples=60, deadline=None)
-@given(seeds, st.integers(0, 3))
-def test_pairings_match_the_oracle(seed, perturbations):
+@given(seeds, st.integers(0, 3), st.booleans())
+@example(13, 3, True)  # several nonzero pairings at genus 12: the first is returned
+def test_pairings_match_the_oracle(seed, perturbations, large):
     d = random_valid_diagram(seed, max_genus=MAX_GENUS)
     rng = random.Random(seed)
+    if large:  # genus 12 or more, where pairings are packed products
+        while d.genus < 12:
+            d = connect_sum(d, random_valid_diagram(rng.randrange(10**6), MAX_GENUS))
+        d = shuffle_diagram(d, rng)
     systems = [s.classes for s in d.systems]
     for _ in range(perturbations):
         k = rng.randrange(3)
