@@ -132,7 +132,7 @@ def builtin(name: str) -> TrisectionDiagram:
 class FibrationParams:
     """Trisection parameters of a fibered family member.
 
-    Construction enforces chi = 2 + genus - 3 * k.
+    Construction enforces exact int sizes and chi = 2 + genus - 3 * k.
     """
 
     genus: int
@@ -140,6 +140,8 @@ class FibrationParams:
     chi: int
 
     def __post_init__(self):
+        for name in ("genus", "k", "chi"):
+            _require_int(getattr(self, name), name)
         if self.genus < 0 or self.k < 0:
             raise ValueError("genus and k must be nonnegative")
         if self.chi != 2 + self.genus - 3 * self.k:

@@ -92,12 +92,12 @@ def parse_diagram(text: str) -> TrisectionDiagram:
     """Parse the diagram file format; raise DiagramParseError with a line
     number on any deviation."""
     lines = _logical_lines(text)
-    eof_line = len(text.splitlines()) + 1
     pos = 0
 
     def take(expected: str) -> tuple[int, str]:
         nonlocal pos
         if pos >= len(lines):
+            eof_line = len(text.splitlines()) + 1
             raise DiagramParseError(f"unexpected end of input, expected {expected}", eof_line)
         item = lines[pos]
         pos += 1

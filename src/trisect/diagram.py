@@ -41,8 +41,11 @@ invariant factors of its class matrix and its first non-isotropic pair,
 for each pair the invariant factors of q and of its double's
 presentation, and the triple.  Every verdict, k, chi and failure line is
 a property derived from those facts, so no two parts of a report can
-disagree, and a direct sum of valid diagrams is given the facts of a
-valid diagram (``carry_sum_report``) instead of restated verdicts.
+disagree, and ``direct_sum`` gives a sum of valid diagrams the facts of
+a valid diagram instead of restated verdicts.
+
+Every diagram, whether parsed, built by a move or summed, is assembled
+by ``TrisectionDiagram._from_classes`` from its three class matrices.
 
 These conditions are necessary but not sufficient: deciding whether a
 Heegaard diagram really presents a connected sum of copies of S^1 x S^2
@@ -54,7 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .intlin import IntMatrix, _require_int, invariant_factors
 from .symplectic import (
@@ -139,10 +142,22 @@ class TrisectionDiagram:
         gamma: Sequence[Sequence[int]],
         name: str | None = None,
     ) -> "TrisectionDiagram":
-        systems = [
-            CurveSystem(genus, IntMatrix(rows, cols=2 * genus), label)
-            for rows, label in zip((alpha, beta, gamma), LABELS)
-        ]
+        classes = (IntMatrix(rows, cols=2 * genus) for rows in (alpha, beta, gamma))
+        return cls._from_classes(genus, classes, name)
+
+    @classmethod
+    def _from_classes(
+        cls, genus: int, classes: Iterable[IntMatrix], name: str | None = None
+    ) -> "TrisectionDiagram":
+        """The diagram with the three class matrices ``classes``, in ``LABELS`` order.
+
+        Every diagram is assembled here: ``from_rows``, the moves and
+        ``direct_sum`` build through it, and it runs the checks of the
+        public ``CurveSystem`` and ``TrisectionDiagram`` constructors.  A
+        lazy ``classes`` is read one system at a time, so each matrix is
+        made and checked before the next.
+        """
+        systems = [CurveSystem(genus, m, label) for m, label in zip(classes, LABELS)]
         return cls(genus, *systems, name=name)
 
     @property
@@ -412,32 +427,54 @@ def require_valid(d: TrisectionDiagram) -> ValidationReport:
     return report
 
 
-def carry_sum_report(total: TrisectionDiagram, summands: Sequence[TrisectionDiagram]) -> None:
-    """Give total, the block direct sum of summands, its report without validating it.
+def direct_sum(*diagrams: TrisectionDiagram) -> TrisectionDiagram:
+    """Block direct sum of any number of diagrams, with no validity requirement.
 
-    Only when every summand already carries a valid report: the sum is
-    then valid by construction, so the carry states the facts of a valid
-    diagram of genus g = sum of genera and k = sum of k's.  Each system's
-    factors are g ones, each q has g - k unit factors and k zeros and is
-    its double's presentation, and the triple is the block diagonal of
-    the summands' triples.  Otherwise total is left to be validated in
-    full when first needed.
+    The genus is the sum of the summands' genera.  Summand i's x and y
+    coordinates go into its own x block and its own y block, in argument
+    order, so the sum equals the left fold of two-summand sums: it is
+    associative, ``direct_sum(d, empty) == d``, and ``direct_sum()`` is
+    the genus-0 diagram.  Every summand's rows are embedded once.
+    connect_sum is this plus the requirement that every input is valid.
+
+    Validates nothing.  When every summand already carries a valid
+    report (each diagram object keeps the report of its first
+    validation), the sum is valid by construction and carries the facts
+    of a valid diagram of genus g = sum of genera and k = sum of k's:
+    each system's factors are g ones, each q has g - k unit factors and
+    k zeros and is its double's presentation, and the triple is the
+    block diagonal of the summands' triples.  The sum is then never
+    validated; otherwise it carries no report and is validated in full
+    when first needed.
     """
-    reports = [vars(d).get("_report") for d in summands]
-    if not all(r is not None and r.valid for r in reports):
-        return
-    g, k = sum(r.genus for r in reports), sum(r.k for r in reports)
-    q_factors = (1,) * (g - k) + (0,) * k
-    vars(total)["_report"] = ValidationReport(  # the cached_property's slot
-        genus=g,
-        systems=tuple(SystemReport(label, (1,) * g, None) for label in LABELS),
-        pairs=tuple(PairReport(pair, q_factors, q_factors) for pair in PAIRS),
-        triple=IntersectionTriple(
-            _block_diagonal([r.triple.q_ab for r in reports]),
-            _block_diagonal([r.triple.q_bc for r in reports]),
-            _block_diagonal([r.triple.q_ca for r in reports]),
-        ),
-    )
+    g = sum(d.genus for d in diagrams)
+
+    def embed(label: str) -> IntMatrix:
+        rows, before = [], 0
+        for d in diagrams:
+            h = d.genus
+            pad, post = (0,) * before, (0,) * (g - before - h)
+            for r in d.system(label).classes.entries:
+                rows.append(pad + r[:h] + post + pad + r[h:] + post)
+            before += h
+        return IntMatrix._of(tuple(rows), 2 * g)
+
+    total = TrisectionDiagram._from_classes(g, map(embed, LABELS))
+    reports = [vars(d).get("_report") for d in diagrams]
+    if all(r is not None and r.valid for r in reports):
+        k = sum(r.k for r in reports)
+        q_factors = (1,) * (g - k) + (0,) * k
+        vars(total)["_report"] = ValidationReport(  # the cached_property's slot
+            genus=g,
+            systems=tuple(SystemReport(label, (1,) * g, None) for label in LABELS),
+            pairs=tuple(PairReport(pair, q_factors, q_factors) for pair in PAIRS),
+            triple=IntersectionTriple(
+                _block_diagonal([r.triple.q_ab for r in reports]),
+                _block_diagonal([r.triple.q_bc for r in reports]),
+                _block_diagonal([r.triple.q_ca for r in reports]),
+            ),
+        )
+    return total
 
 
 def _block_diagonal(blocks: Sequence[IntMatrix]) -> IntMatrix:

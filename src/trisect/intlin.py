@@ -392,8 +392,8 @@ def snf(m: IntMatrix) -> SmithDecomposition:
             block[0] = [-x for x in block[0]]
             row_ops.append(("neg", t))
 
+        # a pass that makes a smaller pivot breaks to restart; clean passes end the loop
         while True:
-            restart = False
             top = block[0]
             for i in range(1, len(block)):
                 row = block[i]
@@ -405,22 +405,18 @@ def snf(m: IntMatrix) -> SmithDecomposition:
                         # the remainder is a strictly smaller pivot
                         block[0], block[i] = block[i], block[0]
                         row_ops.append(("swap", t, t + i))
-                        restart = True
                         break
-            if restart:
-                continue
-            for j in range(1, len(top)):
-                if top[j]:
-                    q, r = divmod(top[j], top[0])
-                    top[j] = r
-                    col_ops.append(("add", t + j, t, -q))
-                    if r:
-                        swap_cols(j)
-                        restart = True
-                        break
-            if restart:
-                continue
-            break
+            else:
+                for j in range(1, len(top)):
+                    if top[j]:
+                        q, r = divmod(top[j], top[0])
+                        top[j] = r
+                        col_ops.append(("add", t + j, t, -q))
+                        if r:
+                            swap_cols(j)
+                            break
+                else:
+                    break
 
         p = top[0]
         offender = None
@@ -496,7 +492,6 @@ def _hermite(rows: Sequence[Sequence[int]], ncols: int) -> IntMatrix:
             for i in nz[1:]:
                 q = work[i][col] // work[p][col]
                 work[i] = [x - q * y for x, y in zip(work[i], work[p])]
-        nz = [i for i in range(pr, nr) if work[i][col]]
         if not nz:
             continue
         work[pr], work[nz[0]] = work[nz[0]], work[pr]

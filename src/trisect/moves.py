@@ -11,6 +11,11 @@ The moves that preserve the presented 4-manifold are:
   * connected sum of any number of diagrams, built as one block direct
     sum, and orientation reversal.
 
+Each move builds its result through ``TrisectionDiagram._from_classes``
+from the result's three class matrices, so a move's output carries no
+atlas name.  ``direct_sum`` lives in ``diagram``, beside the report it
+carries, and is re-exported here.
+
 ``compare`` searches the handle-slide orbit only, breadth-first with a
 bounded budget: it never stabilizes and never searches the
 diffeomorphism orbit, so its negative answers are "distinct by
@@ -36,9 +41,8 @@ from typing import Any, Iterator
 
 from .diagram import (
     LABELS,
-    CurveSystem,
     TrisectionDiagram,
-    carry_sum_report,
+    direct_sum,
     first_homology,
     parameters,
     require_valid,
@@ -85,46 +89,15 @@ def handle_slide(d: TrisectionDiagram, move: SlideMove) -> TrisectionDiagram:
     sys = d.system(move.system)
     rows = list(sys.classes.entries)
     rows[move.target] = _slid_row(rows[move.target], rows[move.source], move.sign)
-    new_sys = CurveSystem(g, IntMatrix._of(tuple(rows), sys.classes.cols), move.system)
-    return dataclasses.replace(d, **{move.system: new_sys}, name=None)
+    slid = IntMatrix._of(tuple(rows), 2 * g)
+    return TrisectionDiagram._from_classes(
+        g, [slid if s is sys else s.classes for s in d.systems]
+    )
 
 
 def _slid_row(row: tuple[int, ...], other: tuple[int, ...], sign: int) -> tuple[int, ...]:
     """row + sign * other, for sign +1 or -1: the target's row after one slide."""
     return tuple(map(add if sign > 0 else sub, row, other))
-
-
-def direct_sum(*diagrams: TrisectionDiagram) -> TrisectionDiagram:
-    """Block direct sum of any number of diagrams, with no validity requirement.
-
-    The genus is the sum of the summands' genera.  Summand i's x and y
-    coordinates go into its own x block and its own y block, in argument
-    order, so the sum equals the left fold of two-summand sums: it is
-    associative, ``direct_sum(d, empty) == d``, and ``direct_sum()`` is
-    the genus-0 diagram.  Every summand's rows are embedded once.
-    connect_sum is this plus the requirement that every input is valid.
-
-    Validates nothing.  When every summand already carries a valid
-    report (each diagram object keeps the report of its first
-    validation), the sum carries one built from theirs and is never
-    validated; otherwise it carries none and is validated in full when
-    first needed.
-    """
-    g = sum(d.genus for d in diagrams)
-
-    def embed(label: str) -> CurveSystem:
-        rows, before = [], 0
-        for d in diagrams:
-            h = d.genus
-            pad, post = (0,) * before, (0,) * (g - before - h)
-            for r in d.system(label).classes.entries:
-                rows.append(pad + r[:h] + post + pad + r[h:] + post)
-            before += h
-        return CurveSystem(g, IntMatrix._of(tuple(rows), 2 * g), label)
-
-    total = TrisectionDiagram(g, *map(embed, LABELS))
-    carry_sum_report(total, diagrams)
-    return total
 
 
 def connect_sum(*diagrams: TrisectionDiagram) -> TrisectionDiagram:
@@ -197,10 +170,7 @@ def apply_diffeomorphism(d: TrisectionDiagram, s: IntMatrix) -> TrisectionDiagra
         )
     if not is_symplectic(s):
         raise ValueError("matrix is not symplectic")
-    systems = [
-        CurveSystem(d.genus, sys.classes @ s, sys.label) for sys in d.systems
-    ]
-    return TrisectionDiagram(d.genus, *systems, name=None)
+    return TrisectionDiagram._from_classes(d.genus, [sys.classes @ s for sys in d.systems])
 
 
 def reverse_orientation(d: TrisectionDiagram) -> TrisectionDiagram:
@@ -211,11 +181,11 @@ def reverse_orientation(d: TrisectionDiagram) -> TrisectionDiagram:
     """
     require_valid(d)
     g = d.genus
-    systems = []
+    classes = []
     for sys in d.systems:
         rows = tuple(r[:g] + tuple(-e for e in r[g:]) for r in sys.classes.entries)
-        systems.append(CurveSystem(g, IntMatrix._of(rows, 2 * g), sys.label))
-    return TrisectionDiagram(g, *systems, name=None)
+        classes.append(IntMatrix._of(rows, 2 * g))
+    return TrisectionDiagram._from_classes(g, classes)
 
 
 IDENTICAL = "identical"

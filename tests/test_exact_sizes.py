@@ -6,7 +6,7 @@ wherever it is stored, like a matrix entry: a float or a bool is a
 import pytest
 
 from trisect import IntMatrix, LagrangianSublattice, SymplecticLattice
-from trisect.atlas import bundle_over_s2_params, mapping_torus_params
+from trisect.atlas import FibrationParams, bundle_over_s2_params, mapping_torus_params
 
 NOT_INTS = [1.0, True, 2.5]
 
@@ -40,3 +40,11 @@ def test_fibration_parameters_take_an_exact_int_genus(genus):
     with pytest.raises(TypeError, match="^fiber genus must be int"):
         bundle_over_s2_params(genus)
 
+
+@pytest.mark.parametrize("size", ["genus", "k", "chi"])
+@pytest.mark.parametrize("value", NOT_INTS)
+def test_fibration_params_take_exact_int_sizes(size, value):
+    sizes = {"genus": 1, "k": 0, "chi": 3}
+    sizes[size] = value
+    with pytest.raises(TypeError, match=f"^{size} must be int, got {type(value).__name__}$"):
+        FibrationParams(**sizes)
