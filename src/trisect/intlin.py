@@ -5,14 +5,15 @@ rationals where noted), so results are exact and overflow cannot happen.
 The matrices in this package have at most a few dozen rows, so the
 eliminations are plain elementary-operation methods.
 
-Every matrix product in the package is formed by `_dots`.  Below
-`_PACK_MIN` multiplications it takes plain dot products.  At or above it,
-if no entry of the product can reach 2**63 in magnitude (the exact bound
-is length * max|a| * max|b|), it packs each coordinate column of the
-right factor into one integer of 64-bit slots (Kronecker substitution),
-so each row of the product is a single sum of products of a small int
-and a big one, read back slot by slot.  Wider products take the plain
-dot products too, so every product is exact.
+Every matrix product in the package is formed by `_dots`, and only this
+module decides how.  Below `_PACK_MIN` multiplications it takes plain
+dot products.  At or above it, if no entry of the product can reach
+2**63 in magnitude (the exact bound is length * max|a| * max|b|), it
+packs each coordinate column of the right factor into one integer of
+64-bit slots (Kronecker substitution), so each row of the product is a
+single sum of products of a small int and a big one, read back slot by
+slot.  Wider products take the plain dot products too, so every product
+is exact.
 """
 
 from __future__ import annotations
@@ -95,10 +96,13 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
+        _require_int(n, "size")
         return cls([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
+        _require_int(rows, "rows")
+        _require_int(cols, "cols")
         return cls([[0] * cols for _ in range(rows)], cols=cols)
 
     @property
@@ -197,23 +201,16 @@ def _dots(
 ) -> tuple[tuple[int, ...], ...]:
     """Every dot product: row i, column j is a_rows[i] . b_rows[j].
 
-    The rows all have one length.  The product is `_large_dots` where that
-    packs it, and plain dot products elsewhere.
+    The rows all have one length.  A product of `_PACK_MIN` or more
+    multiplications is `_packed_dots` where that applies; a smaller one,
+    which plain dot products form faster, and a wider one take plain dot
+    products.
     """
-    dots = _large_dots(a_rows, b_rows)
-    if dots is None:
-        dots = tuple(tuple([sum(map(mul, a, b)) for b in b_rows]) for a in a_rows)
-    return dots
-
-
-def _large_dots(
-    a_rows: Sequence[Sequence[int]], b_rows: Sequence[Sequence[int]]
-) -> tuple[tuple[int, ...], ...] | None:
-    """`_packed_dots` of a product of `_PACK_MIN` or more multiplications;
-    None for a smaller one, which plain dot products form faster."""
-    if len(a_rows) * len(b_rows) * (len(b_rows[0]) if b_rows else 0) < _PACK_MIN:
-        return None
-    return _packed_dots(a_rows, b_rows)
+    if len(a_rows) * len(b_rows) * (len(b_rows[0]) if b_rows else 0) >= _PACK_MIN:
+        dots = _packed_dots(a_rows, b_rows)
+        if dots is not None:
+            return dots
+    return tuple(tuple([sum(map(mul, a, b)) for b in b_rows]) for a in a_rows)
 
 
 def _packed_dots(
@@ -511,26 +508,30 @@ Rational = Union[int, Fraction]
 def symmetric_signature(s: IntMatrix | Sequence[Sequence[Rational]]) -> tuple[int, int, int]:
     """Exact inertia (n_plus, n_minus, n_zero) of a symmetric rational form.
 
-    Accepts an IntMatrix or any square grid of ints/Fractions; a grid with
-    fractions is first scaled by the positive lcm of its denominators,
-    which keeps the inertia.  Works by congruence elimination over the
-    integers in the manner of Bareiss: after each pivot the active block
-    holds ``prev`` times the true Schur complement, where ``prev`` is the
-    previous stored pivot, so every division is exact and the true pivot
-    has the sign of the stored one times the sign of ``prev``.  A nonzero
-    diagonal entry is split off directly; if every active diagonal entry
-    vanishes but some pairing b = s[i][j] is nonzero, the congruence
-    v_i += v_j makes the diagonal entry 2b nonzero (a congruence on the
-    active indices keeps the divisions exact), and the hyperbolic plane
-    then splits off as one positive and one negative square.  All-zero
-    remainder counts as n_zero.  No floating point is involved.
+    Accepts an IntMatrix or any square grid of exact ints and Fractions
+    (anything else is a TypeError); a grid with fractions is first scaled
+    by the positive lcm of its denominators, which keeps the inertia.
+    Works by congruence elimination over the integers in the manner of
+    Bareiss: after each pivot the active block holds ``prev`` times the
+    true Schur complement, where ``prev`` is the previous stored pivot, so
+    every division is exact and the true pivot has the sign of the stored
+    one times the sign of ``prev``.  A nonzero diagonal entry is split off
+    directly; if every active diagonal entry vanishes but some pairing b =
+    s[i][j] is nonzero, the congruence v_i += v_j makes the diagonal entry
+    2b nonzero (a congruence on the active indices keeps the divisions
+    exact), and the hyperbolic plane then splits off as one positive and
+    one negative square.  All-zero remainder counts as n_zero.  No
+    floating point is involved.
     """
     if isinstance(s, IntMatrix):
         grid = [list(r) for r in s.entries]
     else:
-        fractions = [[Fraction(e) for e in r] for r in s]
-        scale = lcm(*(e.denominator for r in fractions for e in r))
-        grid = [[e.numerator * (scale // e.denominator) for e in r] for r in fractions]
+        rows = [list(r) for r in s]
+        for e in chain.from_iterable(rows):
+            if type(e) is not int and type(e) is not Fraction:  # bool subclasses int
+                raise TypeError(f"form entries must be int or Fraction, got {type(e).__name__}")
+        scale = lcm(*(e.denominator for e in chain.from_iterable(rows)))
+        grid = [[e.numerator * (scale // e.denominator) for e in r] for r in rows]
     n = len(grid)
     if any(len(r) != n for r in grid):
         raise ValueError("form matrix must be square")
@@ -583,6 +584,7 @@ def random_unimodular(n: int, seed: int, op_count: int) -> IntMatrix:
     drawn from random.Random(seed).  The same (n, seed, op_count) always
     produces the same matrix, and |det| = 1 by construction.
     """
+    _require_int(n, "size")
     if n < 1:
         raise ValueError("size must be >= 1")
     if op_count < 0:

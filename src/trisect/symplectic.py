@@ -21,14 +21,7 @@ from typing import Sequence
 import random
 
 from . import intlin
-from .intlin import (
-    IntMatrix,
-    _dots,
-    _large_dots,
-    _require_int,
-    is_primitive,
-    symmetric_signature,
-)
+from .intlin import IntMatrix, _dots, _require_int, is_primitive, symmetric_signature
 
 
 @dataclass(frozen=True)
@@ -57,23 +50,25 @@ class SymplecticLattice:
 
     def x(self, i: int) -> tuple[int, ...]:
         """The basis vector x_(i+1), 0-based."""
-        if not 0 <= i < self.genus:
-            raise IndexError("x index out of range")
-        return _unit(self.dim, i)
+        return self._unit("x", i, 0)
 
     def y(self, i: int) -> tuple[int, ...]:
         """The basis vector y_(i+1), 0-based."""
+        return self._unit("y", i, self.genus)
+
+    def _unit(self, name: str, i: int, offset: int) -> tuple[int, ...]:
+        """The unit vector at coordinate offset + i, for an exact int index i."""
+        _require_int(i, f"{name} index")
         if not 0 <= i < self.genus:
-            raise IndexError("y index out of range")
-        return _unit(self.dim, self.genus + i)
-
-
-def _unit(dim: int, pos: int) -> tuple[int, ...]:
-    return tuple(int(k == pos) for k in range(dim))
+            raise IndexError(f"{name} index out of range")
+        return tuple(int(k == offset + i) for k in range(self.dim))
 
 
 def omega(u: Sequence[int], v: Sequence[int]) -> int:
-    """The symplectic pairing of two coordinate rows of equal even length."""
+    """The symplectic pairing of two coordinate rows of equal even length
+    and exact int coordinates."""
+    for e in (*u, *v):
+        _require_int(e, "coordinates")
     if len(u) != len(v):
         raise ValueError("vectors live in different lattices")
     if len(u) % 2:
@@ -96,19 +91,16 @@ def is_lagrangian(basis: IntMatrix) -> bool:
 
 
 def first_nonisotropic(rows: IntMatrix) -> tuple[int, int, int] | None:
-    """The first (i, j, omega(r_i, r_j)) with i < j and a nonzero pairing."""
+    """The first (i, j, omega(r_i, r_j)) with i < j and a nonzero pairing.
+
+    A scan of the upper triangle of the pairings, which stops at the first
+    nonzero one, at every size.
+    """
     r = rows.entries
     if len(r) > 1 and rows.cols % 2:
         raise ValueError("vectors must have even length")
     duals = _duals(rows)
     n = len(r)
-    pairs = _large_dots(r, duals)
-    if pairs is not None:
-        return next(
-            ((i, j, pairs[i][j]) for i in range(n) for j in range(i + 1, n) if pairs[i][j]), None
-        )
-    # where the product is plain, its upper triangle is enough, up to the
-    # first nonzero pairing
     for i in range(n):
         for j in range(i + 1, n):
             val = sum(map(mul, r[i], duals[j]))
@@ -253,6 +245,7 @@ def random_symplectic(genus: int, seed: int, count: int) -> IntMatrix:
     omega(r, u) * u.  Entries of u are drawn from {-1, 0, 1} and c from
     small integers, so products stay well-conditioned for tests.
     """
+    _require_int(genus, "genus")
     if genus < 0:
         raise ValueError("genus must be nonnegative")
     if count < 0:
