@@ -140,10 +140,9 @@ class FibrationParams:
     chi: int
 
     def __post_init__(self):
-        for name in ("genus", "k", "chi"):
-            _require_int(getattr(self, name), name)
-        if self.genus < 0 or self.k < 0:
-            raise ValueError("genus and k must be nonnegative")
+        _require_int(self.genus, "genus", 0)
+        _require_int(self.k, "k", 0)
+        _require_int(self.chi, "chi")
         if self.chi != 2 + self.genus - 3 * self.k:
             raise ValueError(
                 f"chi = {self.chi} contradicts 2 + g - 3k = "
@@ -159,9 +158,7 @@ def mapping_torus_params(fiber_heegaard_genus: int) -> FibrationParams:
     circle factor forces.
     """
     h = fiber_heegaard_genus
-    _require_int(h, "Heegaard genus")
-    if h < 0:
-        raise ValueError("Heegaard genus must be nonnegative")
+    _require_int(h, "Heegaard genus", 0)
     return FibrationParams(genus=6 * h + 1, k=2 * h + 1, chi=0)
 
 
@@ -172,7 +169,5 @@ def bundle_over_s2_params(fiber_genus: int) -> FibrationParams:
     k = 4f + 1, so chi = 4 - 4f, matching chi of a product of surfaces.
     """
     f = fiber_genus
-    _require_int(f, "fiber genus")
-    if f < 0:
-        raise ValueError("fiber genus must be nonnegative")
+    _require_int(f, "fiber genus", 0)
     return FibrationParams(genus=8 * f + 5, k=4 * f + 1, chi=4 - 4 * f)

@@ -99,9 +99,7 @@ class CurveSystem:
     def __post_init__(self):
         if self.label not in LABELS:
             raise ValueError(f"label must be one of {LABELS}, got {self.label!r}")
-        _require_int(self.genus, "genus")
-        if self.genus < 0:
-            raise ValueError("genus must be nonnegative")
+        _require_int(self.genus, "genus", 0)
         if self.classes.rows != self.genus or self.classes.cols != 2 * self.genus:
             raise ValueError(
                 f"{self.label}: classes must be {self.genus} x {2 * self.genus}, "
@@ -124,7 +122,7 @@ class TrisectionDiagram:
     name: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        _require_int(self.genus, "genus")
+        _require_int(self.genus, "genus", 0)
         for sys, label in zip((self.alpha, self.beta, self.gamma), LABELS):
             if sys.label != label:
                 raise ValueError(f"system in slot {label} is labeled {sys.label!r}")
@@ -142,6 +140,7 @@ class TrisectionDiagram:
         gamma: Sequence[Sequence[int]],
         name: str | None = None,
     ) -> "TrisectionDiagram":
+        _require_int(genus, "genus", 0)
         classes = (IntMatrix(rows, cols=2 * genus) for rows in (alpha, beta, gamma))
         return cls._from_classes(genus, classes, name)
 

@@ -39,10 +39,15 @@ _PACK_MIN = 1500
 _WORD_ARRAY = array("q").itemsize == 8 and sys.byteorder == "little"
 
 
-def _require_int(value, what: str) -> None:
-    """Raise TypeError unless value is exactly an int (bool subclasses int)."""
+def _require_int(value, what: str, least: int | None = None) -> None:
+    """Raise TypeError unless value is exactly an int (bool subclasses int),
+    then ValueError if it is below the floor ``least``."""
     if type(value) is not int:
         raise TypeError(f"{what} must be int, got {type(value).__name__}")
+    if least is not None and value < least:
+        if least == 0:
+            raise ValueError(f"{what} must be nonnegative")
+        raise ValueError(f"{what} must be >= {least}")
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -82,9 +87,7 @@ class IntMatrix:
                 raise ValueError(f"cols={cols} does not match row length {width}")
         else:
             width = 0 if cols is None else cols
-            _require_int(width, "cols")
-            if width < 0:
-                raise ValueError("cols must be nonnegative")
+            _require_int(width, "cols", 0)
         vars(self).update(rows=len(packed), cols=width, entries=tuple(packed))
 
     @classmethod
@@ -96,13 +99,13 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        _require_int(n, "size")
+        _require_int(n, "size", 0)
         return cls([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        _require_int(rows, "rows")
-        _require_int(cols, "cols")
+        _require_int(rows, "rows", 0)
+        _require_int(cols, "cols", 0)
         return cls([[0] * cols for _ in range(rows)], cols=cols)
 
     @property
@@ -138,7 +141,7 @@ class IntMatrix:
         return IntMatrix._of(tuple(tuple(map(neg, r)) for r in self.entries), self.cols)
 
     def __mul__(self, scalar: int) -> "IntMatrix":
-        if not isinstance(scalar, int):
+        if type(scalar) is not int:  # bool subclasses int
             return NotImplemented
         return IntMatrix([[scalar * e for e in r] for r in self.entries], cols=self.cols)
 
@@ -250,11 +253,12 @@ def _packed_dots(
     )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, init=False, eq=False)
 class SmithDecomposition:
     """Factorization d = u @ m @ v with u, v unimodular and d in Smith form.
 
-    Compares, hashes and prints by (d, u, v) and is immutable.  A
+    Built from (d, u, v), by position or keyword, and compares, hashes
+    and prints by them, so its repr evaluates back to it; immutable.  A
     decomposition returned by `snf` holds the row and column operations of
     its elimination instead of u and v: each transform is built from them
     the first time it is read, then kept, so a caller that reads only d
@@ -266,6 +270,9 @@ class SmithDecomposition:
     _v: IntMatrix | None
     _row_ops: list | None = field(default=None, init=False, repr=False)
     _col_ops: list | None = field(default=None, init=False, repr=False)
+
+    def __init__(self, d: IntMatrix, u: IntMatrix | None, v: IntMatrix | None):
+        vars(self).update(d=d, _u=u, _v=v, _row_ops=None, _col_ops=None)
 
     # A transform is stored before its record is dropped, so a reader that
     # finds no record finds the transform, even while another thread builds.
@@ -584,11 +591,8 @@ def random_unimodular(n: int, seed: int, op_count: int) -> IntMatrix:
     drawn from random.Random(seed).  The same (n, seed, op_count) always
     produces the same matrix, and |det| = 1 by construction.
     """
-    _require_int(n, "size")
-    if n < 1:
-        raise ValueError("size must be >= 1")
-    if op_count < 0:
-        raise ValueError("op_count must be >= 0")
+    _require_int(n, "size", 1)
+    _require_int(op_count, "op_count", 0)
     rng = random.Random(seed)
     ops = []
     for _ in range(op_count):

@@ -68,12 +68,11 @@ class SlideMove:
     def __post_init__(self):
         if self.system not in LABELS:
             raise ValueError(f"system must be one of {LABELS}")
-        for name in ("target", "source", "sign"):
-            _require_int(getattr(self, name), name)
+        _require_int(self.target, "target", 0)
+        _require_int(self.source, "source", 0)
+        _require_int(self.sign, "sign")
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        if self.target < 0 or self.source < 0:
-            raise ValueError("curve indices must be nonnegative")
         if self.target == self.source:
             raise ValueError("cannot slide a curve over itself")
 
@@ -274,8 +273,10 @@ def compare(
     DISTINCT verdict.  Equal diagrams are IDENTICAL.  Otherwise a
     breadth-first search over handle slides from d1 looks for d2:
     max_depth bounds the certificate length and max_nodes bounds the
-    number of distinct diagrams visited.  The search is deterministic,
-    so equal inputs always give equal verdicts.
+    number of distinct diagrams visited.  The budgets are exact ints,
+    max_depth at least 0 and max_nodes at least 1, checked before
+    anything else.  The search is deterministic, so equal inputs always
+    give equal verdicts.
 
     Before searching, each system of d2 is solved for the transition
     matrix M with M @ X1 == X2, X1 being d1's system.  Slides multiply
@@ -301,6 +302,8 @@ def compare(
     breadth-first layer is nonempty, and the search stops only at the
     goal, at max_nodes or at max_depth.
     """
+    _require_int(max_depth, "max_depth", 0)
+    _require_int(max_nodes, "max_nodes", 1)
     for name, fn in _INVARIANT_CHECKS:  # the first check requires validity
         a, b = fn(d1), fn(d2)
         if a != b:

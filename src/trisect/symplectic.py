@@ -31,9 +31,7 @@ class SymplecticLattice:
     genus: int
 
     def __post_init__(self):
-        _require_int(self.genus, "genus")
-        if self.genus < 0:
-            raise ValueError("genus must be nonnegative")
+        _require_int(self.genus, "genus", 0)
 
     @property
     def dim(self) -> int:
@@ -132,7 +130,7 @@ class LagrangianSublattice:
     basis: IntMatrix
 
     def __post_init__(self):
-        _require_int(self.genus, "genus")
+        _require_int(self.genus, "genus", 0)
         if self.basis.rows != self.genus or self.basis.cols != 2 * self.genus:
             raise ValueError(
                 f"basis shape {self.basis.shape} does not match genus {self.genus}"
@@ -245,11 +243,8 @@ def random_symplectic(genus: int, seed: int, count: int) -> IntMatrix:
     omega(r, u) * u.  Entries of u are drawn from {-1, 0, 1} and c from
     small integers, so products stay well-conditioned for tests.
     """
-    _require_int(genus, "genus")
-    if genus < 0:
-        raise ValueError("genus must be nonnegative")
-    if count < 0:
-        raise ValueError("count must be nonnegative")
+    _require_int(genus, "genus", 0)
+    _require_int(count, "count", 0)
     dim = 2 * genus
     if genus == 0:
         return IntMatrix.identity(0)
