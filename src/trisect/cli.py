@@ -91,16 +91,13 @@ def _logical_lines(text: str) -> list[tuple[int, str]]:
 def parse_diagram(text: str) -> TrisectionDiagram:
     """Parse the diagram file format; raise DiagramParseError with a line
     number on any deviation."""
-    lines = _logical_lines(text)
-    pos = 0
+    lines = iter(_logical_lines(text))
 
     def take(expected: str) -> tuple[int, str]:
-        nonlocal pos
-        if pos >= len(lines):
+        item = next(lines, None)
+        if item is None:
             eof_line = len(text.splitlines()) + 1
             raise DiagramParseError(f"unexpected end of input, expected {expected}", eof_line)
-        item = lines[pos]
-        pos += 1
         return item
 
     number, content = take("header 'tris v1'")
@@ -139,8 +136,7 @@ def parse_diagram(text: str) -> TrisectionDiagram:
             rows.append(_int_row(tokens, number))
         systems.append(rows)
 
-    if pos < len(lines):
-        number, content = lines[pos]
+    for number, content in lines:  # the first line left over is an error
         raise DiagramParseError(f"unexpected content {content!r}", number)
     return TrisectionDiagram.from_rows(g, *systems)
 
@@ -180,8 +176,6 @@ def _load_diagram(path: str) -> TrisectionDiagram:
 
 
 def _fmt_matrix(m: IntMatrix) -> str:
-    if m.rows == 0 or m.cols == 0:
-        return "[]"
     return "[" + "; ".join(" ".join(map(str, row)) for row in m.entries) + "]"
 
 

@@ -120,6 +120,8 @@ class IntMatrix:
         return self.entries[i][j]
 
     def __repr__(self) -> str:
+        if not self.rows:  # the width is not in the rows, so it is spelled out
+            return f"IntMatrix([], cols={self.cols})"
         return f"IntMatrix({[list(r) for r in self.entries]!r})"
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
@@ -152,8 +154,7 @@ class IntMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        cols = tuple(zip(*other.entries)) if other.rows else ((),) * other.cols
-        return IntMatrix._of(_dots(self.entries, cols), other.cols)
+        return IntMatrix._of(_dots(self.entries, other.transpose().entries), other.cols)
 
     def transpose(self) -> "IntMatrix":
         t = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
@@ -165,8 +166,13 @@ class IntMatrix:
         return IntMatrix._of(self.entries + other.entries, self.cols)
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "IntMatrix":
-        """Rows r0:r1, columns c0:c1 (half-open)."""
-        return IntMatrix([r[c0:c1] for r in self.entries[r0:r1]], cols=max(c1 - c0, 0))
+        """Rows r0:r1, columns c0:c1 (half-open), for exact ints with
+        0 <= r0 <= r1 <= rows and 0 <= c0 <= c1 <= cols."""
+        for name, value, least in (("r0", r0, 0), ("r1", r1, r0), ("c0", c0, 0), ("c1", c1, c0)):
+            _require_int(value, name, least)
+        if r1 > self.rows or c1 > self.cols:
+            raise IndexError(f"submatrix [{r0}:{r1}, {c0}:{c1}] out of range for shape {self.shape}")
+        return IntMatrix([r[c0:c1] for r in self.entries[r0:r1]], cols=c1 - c0)
 
     def is_zero(self) -> bool:
         return all(e == 0 for r in self.entries for e in r)

@@ -97,7 +97,7 @@ def first_nonisotropic(rows: IntMatrix) -> tuple[int, int, int] | None:
     r = rows.entries
     if len(r) > 1 and rows.cols % 2:
         raise ValueError("vectors must have even length")
-    duals = _duals(rows)
+    duals = [_dual(v) for v in r]
     n = len(r)
     for i in range(n):
         for j in range(i + 1, n):
@@ -111,11 +111,6 @@ def _dual(v: Sequence[int]) -> tuple[int, ...]:
     """The row v = (v_x, v_y) as (v_y, -v_x), so omega(u, v) = u . _dual(v)."""
     g = len(v) // 2
     return (*v[g:], *(-e for e in v[:g]))
-
-
-def _duals(m: IntMatrix) -> list[tuple[int, ...]]:
-    """The `_dual` of each row of m."""
-    return [_dual(v) for v in m.entries]
 
 
 @dataclass(frozen=True)
@@ -141,10 +136,8 @@ class LagrangianSublattice:
     @classmethod
     def span(cls, *vectors: Sequence[int]) -> "LagrangianSublattice":
         """Build from g row vectors of length 2g; span() is the genus-0 lattice."""
-        if not vectors:
-            return cls(0, IntMatrix([], cols=0))
-        cols = len(vectors[0])
-        return cls(cols // 2, IntMatrix(vectors, cols=cols))
+        basis = IntMatrix(vectors)
+        return cls(basis.cols // 2, basis)
 
     def transform(self, s: IntMatrix) -> "LagrangianSublattice":
         """Image under a symplectic matrix acting on the right."""
@@ -169,7 +162,7 @@ def pairing_matrix(left, right) -> IntMatrix:
         raise ValueError("ambient genus mismatch")
     if a.cols % 2:
         raise ValueError("ambient rank must be even")
-    return IntMatrix._of(_dots(a.entries, _duals(b)), b.rows)
+    return IntMatrix._of(_dots(a.entries, [_dual(v) for v in b.entries]), b.rows)
 
 
 def is_symplectic(s: IntMatrix) -> bool:
