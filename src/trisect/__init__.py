@@ -9,6 +9,8 @@ slides, stabilization, surface diffeomorphisms), ships a small atlas of
 standard examples, and exposes everything through the ``trisect`` CLI.
 """
 
+from types import ModuleType as _ModuleType
+
 from .intlin import (
     IntMatrix,
     SmithDecomposition,
@@ -81,64 +83,9 @@ from .atlas import (
 
 __version__ = "0.1.0"
 
+# every public name bound above; the submodules themselves are not exported
 __all__ = [
-    "IntMatrix",
-    "SmithDecomposition",
-    "snf",
-    "invariant_factors",
-    "is_primitive",
-    "left_kernel_basis",
-    "symmetric_signature",
-    "random_unimodular",
-    "SymplecticLattice",
-    "LagrangianSublattice",
-    "omega",
-    "is_lagrangian",
-    "pairing_matrix",
-    "is_symplectic",
-    "maslov_index",
-    "random_symplectic",
-    "ALPHA",
-    "BETA",
-    "GAMMA",
-    "LABELS",
-    "CurveSystem",
-    "TrisectionDiagram",
-    "IntersectionTriple",
-    "SystemReport",
-    "PairReport",
-    "ValidationReport",
-    "FirstHomology",
-    "InvalidDiagramError",
-    "validate",
-    "require_valid",
-    "parameters",
-    "euler_characteristic",
-    "intersection_triple",
-    "lagrangian_triple",
-    "signature",
-    "first_homology",
-    "handle_counts",
-    "SlideMove",
-    "EquivalenceVerdict",
-    "IDENTICAL",
-    "SLIDE_EQUIVALENT",
-    "DISTINCT",
-    "UNKNOWN",
-    "handle_slide",
-    "stabilize",
-    "stabilization_block",
-    "direct_sum",
-    "connect_sum",
-    "reverse_orientation",
-    "apply_diffeomorphism",
-    "compare",
-    "TorusTriple",
-    "FibrationParams",
-    "torus_diagram",
-    "split_diagram",
-    "builtin",
-    "builtin_names",
-    "mapping_torus_params",
-    "bundle_over_s2_params",
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

@@ -11,11 +11,16 @@ File format (extension-agnostic, line-oriented):
     gamma
     <g lines>
 
-Row coordinates are in the basis order (x_1..x_g, y_1..y_g).  Anything
-from '#' to end of line is a comment; blank lines are ignored; any other
-deviation is a parse error carrying a line number.  serialize_diagram
-emits the canonical form (no comments, single spaces), and parsing then
-serializing any accepted file yields that canonical form.
+Row coordinates are in the basis order (x_1..x_g, y_1..y_g).  An entry
+is an optional sign and ASCII digits only: underscores and non-ASCII
+digits are rejected, and any whitespace that str.split accepts separates
+entries (a line break that str.splitlines knows, such as form feed, ends
+the line instead).  An entry longer than sys.get_int_max_str_digits() is
+a parse error on its line.  Anything from '#' to end of line is a
+comment; blank lines are ignored; any other deviation is a parse error
+carrying a line number.  serialize_diagram emits the canonical form (no
+comments, single spaces), and parsing then serializing any accepted file
+yields that canonical form.
 
 Exit codes: 0 success (valid / equivalent / identical), 1 invalid
 diagram or distinct-by-invariant, 2 usage or parse error, 3 comparison
@@ -58,6 +63,11 @@ from .moves import (
 )
 
 _INT = re.compile(r"[+-]?[0-9]+\Z")
+# a whole row of ASCII integers ([0-9]: \d also matches digits such as '١',
+# which int() accepts); digits and blanks are disjoint, so no backtracking
+_ROW = re.compile(r"[+-]?[0-9]+(?:[ \t]+[+-]?[0-9]+)*\Z")
+# a tuple of ints printed by str, less these, is its entries single-spaced
+_PLAIN = str.maketrans("", "", "(),")
 
 
 class DiagramParseError(ValueError):
@@ -68,13 +78,15 @@ class DiagramParseError(ValueError):
         super().__init__(f"line {line}: {message}")
 
 
-def _int_row(tokens: Sequence[str], number: int) -> list[int]:
-    """The integers of one line; a parse error on a bad or overlong token."""
-    for tok in tokens:
-        if not _INT.match(tok):
-            raise DiagramParseError(f"invalid integer {tok!r}", number)
+def _int_row(content: str, tokens: Sequence[str], number: int) -> tuple[int, ...]:
+    """The integers of one line, ``tokens`` being ``content.split()``; a
+    parse error on a bad or overlong token."""
+    if not _ROW.match(content):  # other whitespace, or a bad token to name
+        for tok in tokens:
+            if not _INT.match(tok):
+                raise DiagramParseError(f"invalid integer {tok!r}", number)
     try:
-        return [int(tok) for tok in tokens]
+        return tuple(map(int, tokens))
     except ValueError:  # past sys.get_int_max_str_digits()
         raise DiagramParseError("integer has too many digits", number) from None
 
@@ -113,7 +125,7 @@ def parse_diagram(text: str) -> TrisectionDiagram:
     tokens = content.split()
     if len(tokens) != 2 or tokens[0] != "genus" or not _INT.match(tokens[1]):
         raise DiagramParseError("expected 'genus <integer>'", number)
-    (g,) = _int_row(tokens[1:], number)
+    (g,) = _int_row(tokens[1], tokens[1:], number)
     if g < 0:
         raise DiagramParseError("genus must be nonnegative", number)
 
@@ -133,7 +145,7 @@ def parse_diagram(text: str) -> TrisectionDiagram:
                     f"{label} row {r + 1}: expected {2 * g} entries, found {len(tokens)}",
                     number,
                 )
-            rows.append(_int_row(tokens, number))
+            rows.append(_int_row(content, tokens, number))
         systems.append(rows)
 
     for number, content in lines:  # the first line left over is an error
@@ -145,10 +157,8 @@ def serialize_diagram(d: TrisectionDiagram) -> str:
     """Canonical text form; parse_diagram(serialize_diagram(d)) == d."""
     lines = ["tris v1", f"genus {d.genus}"]
     for sys_ in d.systems:
-        lines.append(sys_.label)
-        for row in sys_.classes.entries:
-            lines.append(" ".join(map(str, row)))
-    return "\n".join(lines) + "\n"
+        lines += [sys_.label, *map(str, sys_.classes.entries)]
+    return "\n".join(lines).translate(_PLAIN) + "\n"
 
 
 def parse_int_matrix(text: str) -> IntMatrix:
@@ -157,7 +167,7 @@ def parse_int_matrix(text: str) -> IntMatrix:
     rows = []
     width = None
     for number, content in _logical_lines(text):
-        row = _int_row(content.split(), number)
+        row = _int_row(content, content.split(), number)
         if width is None:
             width = len(row)
         elif len(row) != width:
@@ -176,7 +186,7 @@ def _load_diagram(path: str) -> TrisectionDiagram:
 
 
 def _fmt_matrix(m: IntMatrix) -> str:
-    return "[" + "; ".join(" ".join(map(str, row)) for row in m.entries) + "]"
+    return "[" + "; ".join(map(str, m.entries)).translate(_PLAIN) + "]"
 
 
 def _fmt_move(move: SlideMove) -> str:

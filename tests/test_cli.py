@@ -137,6 +137,35 @@ class TestFormat:
         with pytest.raises(DiagramParseError):
             parse_diagram(text)
 
+    def test_unicode_spaces_separate_entries(self):
+        # str.split separates at NBSP and em space; the full-line row
+        # pattern does not, so these rows take the per-token path
+        text = "tris v1\ngenus 1\nalpha\n1\xa00\nbeta\n0 1\ngamma\n1\xa0 1\n"
+        assert parse_diagram(text) == builtin("cp2")
+
+    def test_non_ascii_digit_is_an_invalid_integer(self):
+        text = "tris v1\ngenus 1\nalpha\n1 0\nbeta\n0 ١\ngamma\n1 1\n"
+        with pytest.raises(DiagramParseError) as exc:
+            parse_diagram(text)
+        assert exc.value.line == 6
+        assert str(exc.value) == "line 6: invalid integer '١'"
+
+    def test_decorated_crlf_file_parses_to_the_canonical_diagram(self):
+        text = (
+            "# cp2\r\ntris v1\r\n\tgenus 1 # one handle\r\nalpha\r\n+1\t-0  # x\r\n"
+            "beta\r\n-0\t+1\r\n\r\ngamma\t\r\n 1 \t 1# c\r\n"
+        )
+        d = parse_diagram(text)
+        assert d == builtin("cp2")
+        assert serialize_diagram(d) == "tris v1\ngenus 1\nalpha\n1 0\nbeta\n0 1\ngamma\n1 1\n"
+
+    def test_too_many_tokens_reports_the_count_first(self):
+        text = "tris v1\ngenus 1\nalpha\n1 x 0\nbeta\n0 1\ngamma\n1 1\n"
+        with pytest.raises(DiagramParseError) as exc:
+            parse_diagram(text)
+        assert exc.value.line == 4
+        assert str(exc.value) == "line 4: alpha row 1: expected 2 entries, found 3"
+
     def test_wrong_section_name(self):
         text = "tris v1\ngenus 0\nalpha\ngamma\nbeta\n"
         with pytest.raises(DiagramParseError) as exc:
