@@ -177,7 +177,7 @@ def parse_int_matrix(text: str) -> IntMatrix:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return fh.read()
 
 

@@ -26,6 +26,14 @@ H_1 of the manifold is coker[q_ba; q_ca]; and the signature is that of
 Both come from one Smith form of [q_ba; q_ca], taken once per diagram
 and cached on the triple of its report.
 
+Every pairing ``validate`` reads comes from one exact product, the 3g x
+3g Gram matrix G = S @ J @ S^T of the stacked classes S = [alpha; beta;
+gamma], so G[i][j] = omega(s_i, s_j).  Its off-diagonal blocks (1, 2),
+(2, 3) and (3, 1) are q_ab, q_bc and q_ca; the upper triangle of a
+diagonal block holds a system's self-pairings, which isotropy asks to
+vanish; and the rows of G for two systems are the pairings of their
+stack with all three systems.
+
 The class matrices' invariant factors are read off widened matrices.
 For any integer W with a right inverse R, X @ W has the invariant
 factors of X, because X @ W and X = (X @ W) @ R have the same column
@@ -59,13 +67,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .intlin import IntMatrix, _require_int, invariant_factors
-from .symplectic import (
-    LagrangianSublattice,
-    first_nonisotropic,
-    pairing_matrix,
-    triple_homology,
-)
+from .intlin import IntMatrix, _dots, _require_int, invariant_factors
+from .symplectic import LagrangianSublattice, _dual, triple_homology
 
 ALPHA = "alpha"
 BETA = "beta"
@@ -381,17 +384,24 @@ class InvalidDiagramError(ValueError):
 def validate(d: TrisectionDiagram) -> ValidationReport:
     """Measure every homological check and return the report of the facts.
 
-    The triple comes first: each class matrix is reduced with its
-    intersection numbers in front, which keeps its invariant factors
-    (module docstring) and spares the Smith form the classes' blow-up.
+    Every pairing is read off one product, the Gram matrix G of the
+    stacked classes (`_gram`): the triple is its off-diagonal blocks, a
+    system's first non-isotropic pair is the first nonzero entry of its
+    diagonal block's upper triangle, and a pair of failing systems is
+    reduced with its rows of G in front.  Each class matrix is reduced
+    with its intersection numbers in front, which keeps its invariant
+    factors (module docstring) and spares the Smith form the classes'
+    blow-up.
     """
-    triple = intersection_triple(d)
+    g = d.genus
+    gram = _gram(d)
+    triple = _triple(gram, g)
     qs = (triple.q_ab, triple.q_bc, triple.q_ca)
     systems = tuple(
         SystemReport(
             s.label,
             invariant_factors(_hstack(qs[i], qs[i - 1].transpose(), s.classes)),
-            first_nonisotropic(s.classes),
+            _first_pairing(gram, i * g, g),
         )
         for i, s in enumerate(d.systems)
     )
@@ -400,12 +410,40 @@ def validate(d: TrisectionDiagram) -> ValidationReport:
         q_factors = invariant_factors(q)
         if systems[l].ok or systems[r].ok:  # the double's H_1 is coker(q)
             double_factors = q_factors
-        else:
+        else:  # [q(S, alpha) | q(S, beta) | q(S, gamma) | S] for S = [l; r]
             stacked = d.systems[l].classes.vstack(d.systems[r].classes)
-            paired = (pairing_matrix(stacked, s.classes) for s in d.systems)
-            double_factors = invariant_factors(_hstack(*paired, stacked))
+            paired = IntMatrix._of(gram[l * g : (l + 1) * g] + gram[r * g : (r + 1) * g], 3 * g)
+            double_factors = invariant_factors(_hstack(paired, stacked))
         pairs.append(PairReport(pair, q_factors, double_factors))
-    return ValidationReport(d.genus, systems, tuple(pairs), triple)
+    return ValidationReport(g, systems, tuple(pairs), triple)
+
+
+def _gram(d: TrisectionDiagram) -> tuple[tuple[int, ...], ...]:
+    """G = S @ J @ S^T for the stacked 3g x 2g classes S = [alpha; beta;
+    gamma], as one product: G[i][j] = omega(s_i, s_j)."""
+    s = d.alpha.classes.entries + d.beta.classes.entries + d.gamma.classes.entries
+    return _dots(s, [_dual(v) for v in s])
+
+
+def _triple(gram: Sequence[tuple], g: int) -> IntersectionTriple:
+    """The triple as blocks (1, 2), (2, 3) and (3, 1) of the Gram matrix."""
+
+    def block(r: int, c: int) -> IntMatrix:
+        return IntMatrix._of(tuple(row[c * g : c * g + g] for row in gram[r * g : r * g + g]), g)
+
+    return IntersectionTriple(block(0, 1), block(1, 2), block(2, 0))
+
+
+def _first_pairing(gram: Sequence[tuple], start: int, g: int) -> tuple[int, int, int] | None:
+    """The first (i, j, G[start + i][start + j]) with i < j < g and a
+    nonzero entry, in row-major order: `first_nonisotropic` of the system
+    whose diagonal block of the Gram matrix starts at ``start``."""
+    for i in range(g):
+        tail = gram[start + i][start + i + 1 : start + g]
+        if any(tail):
+            j = next(j for j, e in enumerate(tail) if e)
+            return (i, i + 1 + j, tail[j])
+    return None
 
 
 def _hstack(*blocks: IntMatrix) -> IntMatrix:
@@ -503,12 +541,9 @@ def handle_counts(d: TrisectionDiagram) -> tuple[int, int, int, int, int]:
 
 
 def intersection_triple(d: TrisectionDiagram) -> IntersectionTriple:
-    """The pairwise intersection matrices; defined for any diagram."""
-    return IntersectionTriple(
-        pairing_matrix(d.alpha.classes, d.beta.classes),
-        pairing_matrix(d.beta.classes, d.gamma.classes),
-        pairing_matrix(d.gamma.classes, d.alpha.classes),
-    )
+    """The pairwise intersection matrices, read off the Gram matrix as
+    `validate` reads them; defined for any diagram."""
+    return _triple(_gram(d), d.genus)
 
 
 def lagrangian_triple(

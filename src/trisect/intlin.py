@@ -7,13 +7,14 @@ eliminations are plain elementary-operation methods.
 
 Every matrix product in the package is formed by `_dots`, and only this
 module decides how.  Below `_PACK_MIN` multiplications it takes plain
-dot products.  At or above it, if no entry of the product can reach
-2**63 in magnitude (the exact bound is length * max|a| * max|b|), it
-packs each coordinate column of the right factor into one integer of
-64-bit slots (Kronecker substitution), so each row of the product is a
-single sum of products of a small int and a big one, read back slot by
-slot.  Wider products take the plain dot products too, so every product
-is exact.
+dot products.  At or above it, it packs each coordinate column of the
+right factor into one integer of slots (Kronecker substitution), so each
+row of the product is a single sum of products of a small int and a big
+one, read back slot by slot.  If no entry of the product can reach 2**63
+in magnitude (the exact bound is length * max|a| * max|b|), the slots are
+64-bit words read through array('q') (`_packed_dots`); otherwise they
+are as many whole bytes as the bound needs, read through int.from_bytes
+(`_wide_dots`).  Every path is exact.
 """
 
 from __future__ import annotations
@@ -29,13 +30,15 @@ from operator import add, mul, neg
 from typing import Iterable, Sequence, Union
 
 # Products of fewer multiplications (rows x cols x length) take plain dot
-# products.  Set above 1372, the largest product that validating a genus-7
-# diagram forms (a 2g x g x 2g pairing), so validation up to genus 7 stays
-# plain; packing was 1.9x faster at 12 x 12 x 24 (CPython 3.11, x86-64).
-_PACK_MIN = 1500
+# products.  On validation's 3g x 3g x 2g Gram product (CPython 3.11,
+# x86-64, median of 4 diagrams) slots took 1.0x the time of plain dot
+# products at g = 2 (144), 0.74x (small entries) to 1.05x (40-90 bit
+# entries) at g = 3 (486) and 0.58x at g = 4 (1152); random 10 x 10 x 10
+# to 16 x 4 x 16 products took 0.6x-1.06x.  So genus 3 stays plain.
+_PACK_MIN = 1000
 
-# Slots are packed and read back through array('q'), which needs
-# little-endian 8-byte items; elsewhere every product is plain.
+# 64-bit slots are packed and read back through array('q'), which needs
+# little-endian 8-byte items; elsewhere products take `_wide_dots`.
 _WORD_ARRAY = array("q").itemsize == 8 and sys.byteorder == "little"
 
 
@@ -211,23 +214,33 @@ def _dots(
     """Every dot product: row i, column j is a_rows[i] . b_rows[j].
 
     The rows all have one length.  A product of `_PACK_MIN` or more
-    multiplications is `_packed_dots` where that applies; a smaller one,
-    which plain dot products form faster, and a wider one take plain dot
-    products.
+    multiplications is `_packed_dots` where that applies and `_wide_dots`
+    where it declines; a smaller one, which plain dot products form
+    faster, takes plain dot products.
     """
     if len(a_rows) * len(b_rows) * (len(b_rows[0]) if b_rows else 0) >= _PACK_MIN:
-        dots = _packed_dots(a_rows, b_rows)
-        if dots is not None:
-            return dots
+        bound = _bound(a_rows, b_rows)
+        dots = _packed_dots(a_rows, b_rows, bound)
+        return _wide_dots(a_rows, b_rows, bound) if dots is None else dots
     return tuple(tuple([sum(map(mul, a, b)) for b in b_rows]) for a in a_rows)
 
 
+def _bound(a_rows: Sequence[Sequence[int]], b_rows: Sequence[Sequence[int]]) -> int:
+    """length * max|a| * max|b|, which no entry of the product exceeds in magnitude."""
+    return (
+        (len(b_rows[0]) if b_rows else 0)
+        * max(map(abs, chain.from_iterable(a_rows)), default=0)
+        * max(map(abs, chain.from_iterable(b_rows)), default=0)
+    )
+
+
 def _packed_dots(
-    a_rows: Sequence[Sequence[int]], b_rows: Sequence[Sequence[int]]
+    a_rows: Sequence[Sequence[int]], b_rows: Sequence[Sequence[int]], bound: int | None = None
 ) -> tuple[tuple[int, ...], ...] | None:
     """`_dots` by Kronecker substitution, or None where it does not apply:
     some entry could reach 2**63 in magnitude, or array('q') is not
-    little-endian 8-byte words.
+    little-endian 8-byte words.  ``bound`` is `_bound` of the operands,
+    computed here if the caller has not.
 
     Coordinate l of all the b rows is packed into one integer,
     sum_j b_rows[j][l] * 2**(64 * j).  Every entry of the product is at
@@ -240,11 +253,8 @@ def _packed_dots(
     with each slot's top bit flipped, less 2**63 per slot.
     """
     n = len(b_rows)
-    bound = (
-        (len(b_rows[0]) if b_rows else 0)
-        * max(map(abs, chain.from_iterable(a_rows)), default=0)
-        * max(map(abs, chain.from_iterable(b_rows)), default=0)
-    )
+    if bound is None:
+        bound = _bound(a_rows, b_rows)
     if not bound:
         return ((0,) * n,) * len(a_rows)
     if bound >> 63 or not _WORD_ARRAY:
@@ -259,6 +269,40 @@ def _packed_dots(
     )
 
 
+def _wide_dots(
+    a_rows: Sequence[Sequence[int]], b_rows: Sequence[Sequence[int]], bound: int
+) -> tuple[tuple[int, ...], ...]:
+    """`_dots` by Kronecker substitution into slots of whole bytes, for the
+    operands' `_bound` ``bound`` however large, on any platform.
+
+    A slot is w = 8 * size bits, the fewest whole bytes that hold the
+    bound's bit length and a sign bit, so every entry of b and of the
+    product lies in (-2**(w-1), 2**(w-1)).  Adding 2**(w-1) to an entry
+    makes it a nonnegative slot, so a column of b goes in through
+    int.to_bytes with that bias in each slot, and the biases are taken off
+    the packed integer at once.  Row i of the product, plus the same
+    biases, holds every entry plus 2**(w-1) in its slot without carries,
+    and is read back slot by slot through int.from_bytes.
+    """
+    n = len(b_rows)
+    if not bound:
+        return ((0,) * n,) * len(a_rows)
+    size = (bound.bit_length() + 8) // 8
+    half = 1 << (8 * size - 1)
+    bias = int.from_bytes((bytes(size - 1) + b"\x80") * n, "little")  # half in every slot
+    from_bytes = int.from_bytes
+    packed = [
+        from_bytes(b"".join([(x + half).to_bytes(size, "little") for x in col]), "little") - bias
+        for col in zip(*b_rows)
+    ]
+    slots = range(0, size * n, size)
+    out = []
+    for a in a_rows:
+        row = (sum(map(mul, a, packed)) + bias).to_bytes(size * n, "little")
+        out.append(tuple([from_bytes(row[k : k + size], "little") - half for k in slots]))
+    return tuple(out)
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class SmithDecomposition:
     """Factorization d = u @ m @ v with u, v unimodular and d in Smith form.
@@ -268,7 +312,9 @@ class SmithDecomposition:
     decomposition returned by `snf` holds the row and column operations of
     its elimination instead of u and v: each transform is built from them
     the first time it is read, then kept, so a caller that reads only d
-    never pays for the transforms.
+    never pays for the transforms.  The column record clears the row of
+    each unit pivot with one ``clear`` op, which `_replay` expands into
+    the column additions it stands for, so v is the eager elimination's.
     """
 
     d: IntMatrix
@@ -322,13 +368,19 @@ class SmithDecomposition:
 
 def _replay(n: int, ops: list) -> tuple[tuple[int, ...], ...]:
     """The n x n identity with the recorded row operations applied in order:
-    ("swap", i, j), ("add", i, j, q) for row_i += q * row_j, ("neg", i)."""
+    ("swap", i, j), ("add", i, j, q) for row_i += q * row_j, ("neg", i),
+    and ("clear", i, (c_1, c_2, ...)), which stands for ("add", i + k, i,
+    -c_k) for each nonzero c_k in turn."""
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
     for op in ops:
         kind, i = op[0], op[1]
         if kind == "add":
             q = op[3]
             rows[i] = [x + q * y for x, y in zip(rows[i], rows[op[2]])]
+        elif kind == "clear":
+            for k, c in enumerate(op[2], i + 1):
+                if c:
+                    rows[k] = [x - c * y for x, y in zip(rows[k], rows[i])]
         elif kind == "swap":
             j = op[2]
             rows[i], rows[j] = rows[j], rows[i]
@@ -367,7 +419,11 @@ def snf(m: IntMatrix) -> SmithDecomposition:
     Row 0 of the block is the pivot row and the row pass clears column 0
     below the pivot, so during the column pass column 0 is zero off the
     pivot and ``col_j -= q * col_0`` changes only the pivot row.  Column
-    operations are recorded as row operations on the transpose of v.
+    operations are recorded as row operations on the transpose of v.  A
+    pivot of 1 divides its whole row, and that row is deleted with column
+    0 right after, so its column pass changes nothing the elimination
+    reads: it is recorded as one ``("clear", t, row[1:])`` op for v, and
+    the row is left as it is.
     """
     nr, nc = m.rows, m.cols
     block = [list(r) for r in m.entries]
@@ -417,6 +473,10 @@ def snf(m: IntMatrix) -> SmithDecomposition:
                         row_ops.append(("swap", t, t + i))
                         break
             else:
+                if top[0] == 1:
+                    # the pivot row goes with column 0, so only v reads this pass
+                    col_ops.append(("clear", t, tuple(top[1:])))
+                    break
                 for j in range(1, len(top)):
                     if top[j]:
                         q, r = divmod(top[j], top[0])

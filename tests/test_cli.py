@@ -226,6 +226,21 @@ class TestCommands:
         assert code == 1
         assert "invalid" in err
 
+    def test_byte_order_mark_is_read_past(self, tmp_path):
+        # some editors start a UTF-8 file with a byte-order mark
+        plain = example_file(tmp_path, "cp2")
+        marked = tmp_path / "cp2-bom.tris"
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(plain).read_bytes())
+        want = cli("invariants", plain)
+        assert want[0] == 0
+        assert cli("invariants", str(marked)) == want
+        matrix = tmp_path / "j-bom.mat"
+        matrix.write_bytes(b"\xef\xbb\xbf0 1\n-1 0\n")
+        code, out, err = cli("diffeo", plain, "--matrix", str(matrix))
+        assert (code, err) == (0, "")
+        j = SymplecticLattice(1).form_matrix()
+        assert parse_diagram(out) == apply_diffeomorphism(builtin("cp2"), j)
+
     def test_stabilize_pipeline(self, tmp_path):
         src = example_file(tmp_path, "cp2")
         code, out, _ = cli("stabilize", src, "-n", "2")

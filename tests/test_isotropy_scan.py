@@ -5,9 +5,10 @@ alone.
 the first nonzero one.  The oracle keeps the replaced two-path version
 verbatim, with its size test inlined: from `_PACK_MIN` multiplications up
 it formed the whole packed g x g product, and it scanned only where
-packing declined.  So `validate` of a valid diagram of genus 10 or more
-now forms three packed products, the pairings of its intersection triple,
-where it formed six.
+packing declined.  `validate` no longer calls it: it reads every pairing,
+the isotropy scans included, off one Gram product of the stacked systems,
+so `validate` of a valid diagram of genus 10 or more forms one packed
+product, where it formed six and then three.
 """
 
 import random
@@ -101,4 +102,4 @@ def test_validate_forms_one_packed_product_per_pairing(monkeypatch):
     d = shuffle_diagram(d, rng)
     packed = _count_calls(monkeypatch, trisect.intlin, "_packed_dots")
     assert validate(d).valid
-    assert len(packed) == 3
+    assert len(packed) == 1

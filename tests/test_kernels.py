@@ -5,15 +5,17 @@ formulas they replaced, and `trisect invariants` makes no per-pair
 The oracle keeps the replaced code: the Smith form that updated v column by
 column and cleared the pivot row by whole-column operations, pairings
 through `omega`, `is_symplectic` as s @ j @ s^T == j, and the matrix
-product that built each column by index.  The packed product kernel is
-checked against plain dot products at every size, whatever the size at
-which `_dots` starts to use it.
+product that built each column by index.  The packed and wide-slot
+product kernels are checked against plain dot products at every size,
+whatever the size at which `_dots` starts to use them, and the wide one
+far past 2**63 and with no word array.
 """
 
 import contextlib
 import io
 import random
 import sys
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -31,7 +33,15 @@ from trisect import (
     snf,
 )
 from trisect.cli import run, serialize_diagram
-from trisect.intlin import _WORD_ARRAY, SmithDecomposition, _dots, _packed_dots
+from trisect import intlin
+from trisect.intlin import (
+    _WORD_ARRAY,
+    SmithDecomposition,
+    _bound,
+    _dots,
+    _packed_dots,
+    _wide_dots,
+)
 from trisect.symplectic import _rows_of, first_nonisotropic
 
 from helpers import random_valid_diagram, shuffle_diagram
@@ -266,11 +276,11 @@ EDGES = (0, 1, 31, 62, 63, 64, 65, 126, 127, 128, 200)
 
 
 @st.composite
-def dot_operands(draw):
+def dot_operands(draw, edges=EDGES):
     """Row families a and b of one length, shapes 0..40, with entries that
     reach +-2**ka and +-2**kb where ka + kb is drawn near an edge."""
     nr, nc, length = (draw(st.integers(0, 40)) for _ in range(3))
-    k = draw(st.sampled_from(EDGES))
+    k = draw(st.sampled_from(edges))
     ka = draw(st.integers(0, k))
     fill = draw(st.sampled_from(("extreme", "edges", "random", "sparse")))
     rng = random.Random(draw(seeds))
@@ -314,6 +324,68 @@ def test_packed_dots_match_the_oracle(operands):
     got = _dots(a, b)
     assert got == want
     assert all(type(e) is int for row in got for e in row)
+
+
+@contextlib.contextmanager
+def slot_paths(words: bool):
+    """Every product, whatever its size, takes the slot kernels; with
+    ``words`` False there is no word array, so every product takes wide
+    slots."""
+    with mock.patch.object(intlin, "_PACK_MIN", 0):
+        with mock.patch.object(intlin, "_WORD_ARRAY", words and _WORD_ARRAY):
+            yield
+
+
+def slot_edge_operands():
+    """Products whose bound is 2**(w-1) - 1, the widest a slot of w bits
+    holds, or 2**(w-1), the narrowest that needs another byte, with entries
+    of b and of the product at the bound."""
+    for w in (8, 16, 56, 64, 72, 128, 1000, 1008):
+        for top in ((1 << (w - 1)) - 1, 1 << (w - 1)):
+            yield ((top,), (-top,), (0,)), ((1,), (-1,), (0,))
+            yield ((1,), (-1,)), ((top,), (-top,), (1,))
+            yield ((top, 0), (0, -top)), ((1, 0), (0, 1), (-1, 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dot_operands(edges=EDGES + (1000,)), st.booleans())
+@example((((2**1000,), (-(2**1000),)), ((2**1000 - 1,), (1,))), False)
+@example((((0, 0),), ((2**1000, -(2**1000)),)), True)  # a zero factor: bound 0
+@example((((), ()), ((), (), ())), False)  # zero-length rows
+@example(((), ((1, 2),)), False)  # no rows
+@example((((1, 2),), ()), False)  # no columns
+@example((((-(2**64), 3, 0),), ((5, -(2**200), 7),)), True)  # one row, one column
+def test_wide_dots_match_the_oracle(operands, words):
+    a, b = operands
+    want = oracle_dots(a, b)
+    assert _wide_dots(a, b, _bound(a, b)) == want
+    with slot_paths(words):
+        got = _dots(a, b)
+    assert got == want
+    assert all(type(e) is int for row in got for e in row)
+
+
+def test_wide_dots_match_the_oracle_at_the_slot_edges():
+    for a, b in slot_edge_operands():
+        want = oracle_dots(a, b)
+        assert _wide_dots(a, b, _bound(a, b)) == want
+        for words in (False, True):
+            with slot_paths(words):
+                assert _dots(a, b) == want
+
+
+def test_products_stay_exact_without_the_word_array(monkeypatch):
+    monkeypatch.setattr(intlin, "_WORD_ARRAY", False)
+    rng = random.Random(14)
+    for side, bits in ((12, 4), (16, 40), (24, 62), (12, 300)):
+        top = 2**bits
+        a = IntMatrix([[rng.randint(-top, top) for _ in range(side)] for _ in range(side)])
+        assert a @ a.transpose() == oracle_matmul(a, a.transpose())
+        assert _packed_dots(a.entries, a.entries) is None
+    d = shuffle_diagram(random_valid_diagram(15, max_genus=9), rng)
+    while d.genus < 10:
+        d = connect_sum(d, builtin("cp2"))
+    assert trisect.validate(d).valid
 
 
 def perturb(classes: IntMatrix, rng: random.Random) -> IntMatrix:
