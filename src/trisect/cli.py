@@ -62,9 +62,10 @@ from .moves import (
     stabilization_block,
 )
 
-_INT = re.compile(r"[+-]?[0-9]+\Z")
 # a whole row of ASCII integers ([0-9]: \d also matches digits such as '١',
-# which int() accepts); digits and blanks are disjoint, so no backtracking
+# which int() accepts); digits and blanks are disjoint, so no backtracking.
+# A token of str.split() holds no blank, so it matches exactly when it is
+# one integer
 _ROW = re.compile(r"[+-]?[0-9]+(?:[ \t]+[+-]?[0-9]+)*\Z")
 # a tuple of ints printed by str, less these, is its entries single-spaced
 _PLAIN = str.maketrans("", "", "(),")
@@ -83,7 +84,7 @@ def _int_row(content: str, tokens: Sequence[str], number: int) -> tuple[int, ...
     parse error on a bad or overlong token."""
     if not _ROW.match(content):  # other whitespace, or a bad token to name
         for tok in tokens:
-            if not _INT.match(tok):
+            if not _ROW.match(tok):
                 raise DiagramParseError(f"invalid integer {tok!r}", number)
     try:
         return tuple(map(int, tokens))
@@ -123,7 +124,7 @@ def parse_diagram(text: str) -> TrisectionDiagram:
 
     number, content = take("'genus <g>'")
     tokens = content.split()
-    if len(tokens) != 2 or tokens[0] != "genus" or not _INT.match(tokens[1]):
+    if len(tokens) != 2 or tokens[0] != "genus" or not _ROW.match(tokens[1]):
         raise DiagramParseError("expected 'genus <integer>'", number)
     (g,) = _int_row(tokens[1], tokens[1:], number)
     if g < 0:

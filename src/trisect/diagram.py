@@ -67,8 +67,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .intlin import IntMatrix, _dots, _require_int, invariant_factors
-from .symplectic import LagrangianSublattice, _dual, triple_homology
+from .intlin import IntMatrix, _require_int, invariant_factors
+from .symplectic import LagrangianSublattice, _first_nonzero, pairing_matrix, triple_homology
 
 ALPHA = "alpha"
 BETA = "beta"
@@ -387,7 +387,8 @@ def validate(d: TrisectionDiagram) -> ValidationReport:
     Every pairing is read off one product, the Gram matrix G of the
     stacked classes (`_gram`): the triple is its off-diagonal blocks, a
     system's first non-isotropic pair is the first nonzero entry of its
-    diagonal block's upper triangle, and a pair of failing systems is
+    diagonal block's upper triangle, found by the scan that
+    `first_nonisotropic` runs, and a pair of failing systems is
     reduced with its rows of G in front.  Each class matrix is reduced
     with its intersection numbers in front, which keeps its invariant
     factors (module docstring) and spares the Smith form the classes'
@@ -401,7 +402,7 @@ def validate(d: TrisectionDiagram) -> ValidationReport:
         SystemReport(
             s.label,
             invariant_factors(_hstack(qs[i], qs[i - 1].transpose(), s.classes)),
-            _first_pairing(gram, i * g, g),
+            _first_nonzero(gram[k][k + 1 : i * g + g] for k in range(i * g, i * g + g)),
         )
         for i, s in enumerate(d.systems)
     )
@@ -420,9 +421,9 @@ def validate(d: TrisectionDiagram) -> ValidationReport:
 
 def _gram(d: TrisectionDiagram) -> tuple[tuple[int, ...], ...]:
     """G = S @ J @ S^T for the stacked 3g x 2g classes S = [alpha; beta;
-    gamma], as one product: G[i][j] = omega(s_i, s_j)."""
-    s = d.alpha.classes.entries + d.beta.classes.entries + d.gamma.classes.entries
-    return _dots(s, [_dual(v) for v in s])
+    gamma], as one `pairing_matrix` product: G[i][j] = omega(s_i, s_j)."""
+    s = IntMatrix._of(sum((c.classes.entries for c in d.systems), ()), 2 * d.genus)
+    return pairing_matrix(s, s).entries
 
 
 def _triple(gram: Sequence[tuple], g: int) -> IntersectionTriple:
@@ -432,18 +433,6 @@ def _triple(gram: Sequence[tuple], g: int) -> IntersectionTriple:
         return IntMatrix._of(tuple(row[c * g : c * g + g] for row in gram[r * g : r * g + g]), g)
 
     return IntersectionTriple(block(0, 1), block(1, 2), block(2, 0))
-
-
-def _first_pairing(gram: Sequence[tuple], start: int, g: int) -> tuple[int, int, int] | None:
-    """The first (i, j, G[start + i][start + j]) with i < j < g and a
-    nonzero entry, in row-major order: `first_nonisotropic` of the system
-    whose diagonal block of the Gram matrix starts at ``start``."""
-    for i in range(g):
-        tail = gram[start + i][start + i + 1 : start + g]
-        if any(tail):
-            j = next(j for j, e in enumerate(tail) if e)
-            return (i, i + 1 + j, tail[j])
-    return None
 
 
 def _hstack(*blocks: IntMatrix) -> IntMatrix:

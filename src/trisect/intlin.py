@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from math import lcm
-from operator import add, mul, neg
+from operator import add, mul, neg, sub
 from typing import Iterable, Sequence, Union
 
 # Products of fewer multiplications (rows x cols x length) take plain dot
@@ -128,19 +128,19 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self.entries]!r})"
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
+        return self._entrywise(other, add, "+")
+
+    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
+        return self._entrywise(other, sub, "-")
+
+    def _entrywise(self, other, op, symbol: str) -> "IntMatrix":
+        """self op other entry by entry, for a matrix ``other`` of the same shape."""
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} + {other.shape}")
-        return IntMatrix._of(
-            tuple(tuple(map(add, r, s)) for r, s in zip(self.entries, other.entries)),
-            self.cols,
-        )
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        return self + (-other)
+            raise ValueError(f"shape mismatch {self.shape} {symbol} {other.shape}")
+        rows = tuple(tuple(map(op, r, s)) for r, s in zip(self.entries, other.entries))
+        return IntMatrix._of(rows, self.cols)
 
     def __neg__(self) -> "IntMatrix":
         return IntMatrix._of(tuple(tuple(map(neg, r)) for r in self.entries), self.cols)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import random
 
@@ -91,19 +91,27 @@ def is_lagrangian(basis: IntMatrix) -> bool:
 def first_nonisotropic(rows: IntMatrix) -> tuple[int, int, int] | None:
     """The first (i, j, omega(r_i, r_j)) with i < j and a nonzero pairing.
 
-    A scan of the upper triangle of the pairings, which stops at the first
-    nonzero one, at every size.
+    The scan that `validate` runs on its Gram matrix, fed one row of the
+    upper triangle of the pairings at a time: it stops after the row that
+    holds the first nonzero one and forms no product, at every size.
     """
     r = rows.entries
     if len(r) > 1 and rows.cols % 2:
         raise ValueError("vectors must have even length")
     duals = [_dual(v) for v in r]
-    n = len(r)
-    for i in range(n):
-        for j in range(i + 1, n):
-            val = sum(map(mul, r[i], duals[j]))
-            if val != 0:
-                return (i, j, val)
+    return _first_nonzero(
+        tuple(sum(map(mul, u, v)) for v in duals[i + 1 :]) for i, u in enumerate(r)
+    )
+
+
+def _first_nonzero(tails: Iterable[Sequence[int]]) -> tuple[int, int, int] | None:
+    """The first (i, j, e) in row-major order with e != 0, where ``tails[i]``
+    holds row i's pairings to the right of the diagonal, so e is entry
+    j - i - 1 of it; read one tail at a time."""
+    for i, tail in enumerate(tails):
+        if any(tail):
+            j = next(j for j, e in enumerate(tail) if e)
+            return (i, i + 1 + j, tail[j])
     return None
 
 
