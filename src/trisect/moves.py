@@ -27,9 +27,15 @@ slide orbit is a product of three per-system orbits.  A system X of the
 first diagram is primitive of rank g, so its slide images are the
 products M @ X for M in SL(g, Z), and M is determined by M @ X.  The
 search therefore runs on triples of g x g transition matrices, all
-three starting at the identity in one table that the systems share; it
-visits the same nodes in the same order as a search over diagrams
-would, so verdicts and certificates are the same.
+three starting at the identity.  Slides in different systems commute,
+so the lexicographically first shortest slide word of a triple is its
+alpha word, then its beta word, then its gamma word, each the path to
+the matrix in one breadth-first tree of a single system.  The search
+walks the product's breadth-first tree from that lemma alone: it grows
+the one per-system tree that the systems share, counts the nodes of the
+product tree instead of storing them, and finds the same nodes in the
+same order as a search over diagrams would, so verdicts and
+certificates are the same.
 """
 
 from __future__ import annotations
@@ -285,22 +291,39 @@ def compare(
     d1's slide orbit; the search could only run out, and the verdict is
     UNKNOWN at once.
 
-    A search node is a triple of ids, one per system, each naming a g x g
-    transition matrix in one table interned for this search and shared
-    by the three systems, which all start at the identity.  This is
-    exact: a slide E takes M @ X1 to (E @ M) @ X1, and M -> M @ X1 is
-    injective because X1 has rank g, so the slides of a matrix are
-    computed once, on first use, and a node's successors are the node
-    with one id replaced, in move order (system, target, source, sign).
-    Two nodes are equal iff their diagrams are.
+    A search node is a triple of g x g transition matrices, one per
+    system, all three starting at the identity.  This is exact: a slide E
+    takes M @ X1 to (E @ M) @ X1, and M -> M @ X1 is injective because
+    X1 has rank g, so two nodes are equal iff their diagrams are, and a
+    node's successors are the node with one matrix slid, in move order
+    (system, target, source, sign).
 
-    No layer of the search is empty, so the loop has no exit for one.
-    It starts only when some transition matrix is not the identity, so
-    g >= 2: at g <= 1 a determinant-1 transition is the identity, and
-    equal diagrams were answered above.  The slide graph of SL(g, Z)^3
-    is then infinite and connected with finite degrees, so every
-    breadth-first layer is nonempty, and the search stops only at the
-    goal, at max_nodes or at max_depth.
+    The search walks the breadth-first tree of these nodes without a
+    visited set, by a lemma.  By induction on layers, breadth-first
+    search finds the nodes of a layer in the lexicographic order of
+    their lex-first shortest words of move indices.  Alpha moves come
+    before beta moves and beta before gamma, and slides in different
+    systems commute, so the word of a node (a, b, c) is w(a) w(b) w(c),
+    w(x) being the path to x in the breadth-first tree of one system.
+    So a node's tree parent is the node with its last move dropped, and
+    its children are the tree children of its last coordinate off the
+    identity, followed by the layer-1 states of each later system.  The
+    three systems share one per-system tree, grown in discovery order as
+    far as the walk asks for a state's children; that expands no state
+    a breadth-first search keeping every visited triple would not.  The
+    walk counts the nodes it finds (``seen``), stores a layer as runs of
+    siblings, and only counts the last one.  The goal, looked up in the
+    tree once its three matrices appear there, is found iff it is its
+    parent's first child or ``seen`` plus its place among those
+    children is below max_nodes.  The certificate is w(a) w(b) w(c) of the goal: the
+    lexicographically first shortest slide word, alpha moves first.
+
+    The walk starts only when some transition matrix is not the
+    identity, so g >= 2: at g <= 1 a determinant-1 transition is the
+    identity, and equal diagrams were answered above.  The slide graph
+    of SL(g, Z)^3 is then infinite and connected with finite degrees,
+    so every breadth-first layer is nonempty, and the search stops only
+    at the goal, at max_nodes or at max_depth.
     """
     _require_int(max_depth, "max_depth", 0)
     _require_int(max_nodes, "max_nodes", 1)
@@ -317,62 +340,94 @@ def compare(
     if any(m is None or m.det() != 1 for m in transitions):
         return EquivalenceVerdict(UNKNOWN)
 
-    ids: dict[tuple[tuple[int, ...], ...], int] = {}
-    states: list[tuple[tuple[int, ...], ...]] = []
-    slid: list[list[int] | None] = []
-
-    def intern(m):
-        i = ids.get(m)
-        if i is None:
-            i = ids[m] = len(states)
-            states.append(m)
-            slid.append(None)
-        return i
-
-    def successors(i):
-        out = slid[i]
-        if out is None:
-            out = slid[i] = [intern(m) for m in _slid_rows(states[i])]
-        return out
-
     g = d1.genus
-    one = intern(tuple(tuple(int(i == j) for j in range(g)) for i in range(g)))
-    start = (one, one, one)
-    goal = tuple(intern(m.entries) for m in transitions)
-    # each visited node maps to (the node it was first reached from, move index)
-    parent: dict[tuple[int, int, int], tuple | None] = {start: None}
-    frontier = [start]
-    for _ in range(max_depth):
-        next_frontier = []
-        for node in frontier:
-            a, b, c = node
-            children = (
-                [(x, b, c) for x in successors(a)]
-                + [(a, x, c) for x in successors(b)]
-                + [(a, b, x) for x in successors(c)]
-            )
-            for k, nd in enumerate(children):
-                if nd in parent:
-                    continue
-                parent[nd] = (node, k)
-                if nd == goal:
+    width = 2 * g * (g - 1)  # slides per system
+    one = tuple(tuple(int(i == j) for j in range(g)) for i in range(g))
+    ids = {one: 0}
+    states = [one]
+    up = [(0, 0)]  # per state: (tree parent, move index); the identity's is unused
+    first = [1]  # an expanded state s has the children first[s] .. first[s + 1] - 1
+    want = [m.entries for m in transitions]
+    goal = ()  # the goal's ids, once the table holds all three
+    home, hx = None, -1  # the goal's tree parent: (i, base) of its run, and x
+
+    def expand(s):
+        # expand states in discovery order through s: a state's tree parent
+        # is the state whose slides found it first
+        nonlocal goal, home, hx
+        while len(first) <= s + 1:
+            t = len(first) - 1
+            for k, m in enumerate(_slid_rows(states[t])):
+                if m not in ids:
+                    ids[m] = len(states)
+                    states.append(m)
+                    up.append((t, k))
+            first.append(len(states))
+        if not goal and all(m in ids for m in want):
+            goal = tuple(ids[m] for m in want)
+            p, gi = list(goal), _last(goal)
+            p[gi] = up[goal[gi]][0]
+            i = _last(p)
+            hx, p[i] = p[i], 0
+            home = (i, tuple(p))
+
+    # A run (i, base, lo, hi) is the nodes base with coordinate i set to
+    # x, for lo <= x < hi, in order; i is the nodes' last coordinate off
+    # the identity, or 0 for the start, and base is 0 from coordinate i
+    # on.  Such a node's children are the tree children of x in
+    # coordinate i, then the layer-1 states in each later coordinate.
+    seen = 1
+    runs = [(0, (0, 0, 0), 0, 1)]
+    for depth in range(max_depth):
+        last = depth == max_depth - 1
+        next_runs = []
+        for i, base, lo, hi in runs:
+            later = (2 - i) * width
+            for x in range(lo, hi):
+                if x + 1 >= len(first):
+                    expand(x)
+                own = first[x + 1] - first[x]
+                if x == hx and home == (i, base):
+                    gi = _last(goal)
+                    if gi == i:
+                        pos = goal[gi] - first[x]
+                    else:
+                        pos = own + (gi - i - 1) * width + goal[gi] - 1
+                    if pos and seen + pos >= max_nodes:
+                        return EquivalenceVerdict(UNKNOWN)
                     return EquivalenceVerdict(
-                        SLIDE_EQUIVALENT, certificate=_certificate(parent, nd, g)
+                        SLIDE_EQUIVALENT, certificate=_certificate(up, goal, g)
                     )
-                if len(parent) >= max_nodes:
+                if seen + own + later >= max_nodes:
                     return EquivalenceVerdict(UNKNOWN)
-                next_frontier.append(nd)
-        frontier = next_frontier
+                seen += own + later
+                if last:
+                    continue
+                if own:
+                    next_runs.append((i, base, first[x], first[x + 1]))
+                if i < 2:
+                    node = base[:i] + (x,) + base[i + 1 :]
+                    next_runs += [(j, node, 1, width + 1) for j in range(i + 1, 3)]
+        runs = next_runs
     return EquivalenceVerdict(UNKNOWN)
 
 
-def _certificate(parent, node, g: int) -> tuple[SlideMove, ...]:
-    """The moves along the recorded search path from the start to node."""
-    moves = tuple(_all_moves(g))
-    path = []
-    step = parent[node]
-    while step is not None:
-        node, k = step
-        path.append(moves[k])
-        step = parent[node]
-    return tuple(reversed(path))
+def _last(node) -> int:
+    """The last coordinate of a node off the identity (state 0), or 0."""
+    return 2 if node[2] else 1 if node[1] else 0
+
+
+def _certificate(up, goal, g: int) -> tuple[SlideMove, ...]:
+    """The lexicographically first shortest slide word reaching goal: each
+    system's tree path from the identity, alpha's first, then beta's, then
+    gamma's."""
+    moves = []
+    for system, s in zip(LABELS, goal):
+        word = []
+        while s:
+            s, k = up[s]
+            target, rest = divmod(k, 2 * (g - 1))
+            source, minus = divmod(rest, 2)
+            word.append(SlideMove(system, target, source + (source >= target), 1 - 2 * minus))
+        moves += reversed(word)
+    return tuple(moves)
