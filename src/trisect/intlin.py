@@ -324,26 +324,20 @@ class SmithDecomposition:
     _col_ops: list | None = field(default=None, init=False, repr=False)
 
     def __init__(self, d: IntMatrix, u: IntMatrix | None, v: IntMatrix | None):
-        vars(self).update(d=d, _u=u, _v=v, _row_ops=None, _col_ops=None)
+        vars(self).update(d=d, _u=u, _v=v)
 
-    # A transform is stored before its record is dropped, so a reader that
-    # finds no record finds the transform, even while another thread builds.
     @property
     def u(self) -> IntMatrix:
-        ops = self._row_ops
-        if ops is not None:
+        if self._u is None and self._row_ops is not None:
             n = self.d.rows
-            object.__setattr__(self, "_u", IntMatrix._of(_replay(n, ops), n))
-            object.__setattr__(self, "_row_ops", None)
+            object.__setattr__(self, "_u", IntMatrix._of(_replay(n, self._row_ops), n))
         return self._u
 
     @property
     def v(self) -> IntMatrix:
-        ops = self._col_ops
-        if ops is not None:
+        if self._v is None and self._col_ops is not None:
             n = self.d.cols
-            object.__setattr__(self, "_v", IntMatrix._of(tuple(zip(*_replay(n, ops))), n))
-            object.__setattr__(self, "_col_ops", None)
+            object.__setattr__(self, "_v", IntMatrix._of(tuple(zip(*_replay(n, self._col_ops))), n))
         return self._v
 
     def __eq__(self, other) -> bool:

@@ -119,25 +119,13 @@ def connect_sum(*diagrams: TrisectionDiagram) -> TrisectionDiagram:
     return direct_sum(*diagrams)
 
 
-# the standard genus-3 diagram of the 4-sphere, validated once, at import,
-# so that every stabilization carries a report
-_BLOCK = TrisectionDiagram.from_rows(
-    3,
-    alpha=[
-        [1, 0, 0, 0, 0, 0],
-        [0, 1, 0, 0, 0, 0],
-        [0, 0, -1, 0, 0, 0],
-    ],
-    beta=[
-        [0, 0, 0, 1, 0, 0],
-        [0, 0, 0, 0, 1, 0],
-        [0, 0, 1, 0, 0, 0],
-    ],
-    gamma=[
-        [-1, 0, 0, 0, 0, 0],
-        [0, 0, 0, 0, -1, 0],
-        [0, 0, 0, 0, 0, 1],
-    ],
+# the standard genus-3 diagram of the 4-sphere, the sum of three genus-1
+# diagrams (alpha, beta, gamma); validated once, at import, so that every
+# stabilization carries a report
+_BLOCK = direct_sum(
+    TrisectionDiagram.from_rows(1, [(1, 0)], [(0, 1)], [(-1, 0)]),  # (x, y, -x)
+    TrisectionDiagram.from_rows(1, [(1, 0)], [(0, 1)], [(0, -1)]),  # (x, y, -y)
+    TrisectionDiagram.from_rows(1, [(-1, 0)], [(1, 0)], [(0, 1)]),  # (-x, x, y)
 )
 require_valid(_BLOCK)
 
@@ -145,6 +133,9 @@ require_valid(_BLOCK)
 def stabilization_block() -> TrisectionDiagram:
     """The standard genus-3 diagram of the 4-sphere used by stabilization.
 
+    The direct sum of three genus-1 diagrams, in each of which two
+    systems share a curve up to sign: coordinate 1 has alpha = -gamma,
+    coordinate 2 has beta = -gamma and coordinate 3 has alpha = -beta.
     Classes: alpha = (x1, x2, -x3), beta = (y1, y2, x3),
     gamma = (-x1, -y2, y3).  Its intersection triple is exactly
     (diag(1,1,0), diag(1,0,1), diag(0,1,1)) and (g, k) = (3, 1).
@@ -225,14 +216,16 @@ _INVARIANT_CHECKS = (
 )
 
 
+def _move(system: str, k: int, g: int) -> SlideMove:
+    """Slide k of one system at genus g, in ``_slid_rows`` order (target, source, sign)."""
+    target, rest = divmod(k, 2 * (g - 1))
+    source, minus = divmod(rest, 2)
+    return SlideMove(system, target, source + (source >= target), 1 - 2 * minus)
+
+
 def _all_moves(g: int) -> Iterator[SlideMove]:
-    for system in LABELS:
-        for target in range(g):
-            for source in range(g):
-                if target == source:
-                    continue
-                for sign in (1, -1):
-                    yield SlideMove(system, target, source, sign)
+    """Every slide at genus g, in move order (system, target, source, sign)."""
+    return (_move(s, k, g) for s in LABELS for k in range(2 * g * (g - 1)))
 
 
 def _slid_rows(rows: tuple[tuple[int, ...], ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -279,10 +272,13 @@ def compare(
     DISTINCT verdict.  Equal diagrams are IDENTICAL.  Otherwise a
     breadth-first search over handle slides from d1 looks for d2:
     max_depth bounds the certificate length and max_nodes bounds the
-    number of distinct diagrams visited.  The budgets are exact ints,
-    max_depth at least 0 and max_nodes at least 1, checked before
-    anything else.  The search is deterministic, so equal inputs always
-    give equal verdicts.
+    number of distinct diagrams visited.  Exactly: when d2 is at most
+    max_depth slides from d1, it is found iff its breadth-first index
+    (d1's is 0) is below max_nodes, or max_nodes is 1 and d2 is d1's
+    first child, d1 slid by ``SlideMove("alpha", 0, 1, 1)``.  The
+    budgets are exact ints, max_depth at least 0 and max_nodes at least
+    1, checked before anything else.  The search is deterministic, so
+    equal inputs always give equal verdicts.
 
     Before searching, each system of d2 is solved for the transition
     matrix M with M @ X1 == X2, X1 being d1's system.  Slides multiply
@@ -315,8 +311,11 @@ def compare(
     siblings, and only counts the last one.  The goal, looked up in the
     tree once its three matrices appear there, is found iff it is its
     parent's first child or ``seen`` plus its place among those
-    children is below max_nodes.  The certificate is w(a) w(b) w(c) of the goal: the
-    lexicographically first shortest slide word, alpha moves first.
+    children, its breadth-first index, is below max_nodes.  Every
+    parent but the root is reached with ``seen`` below max_nodes, so the
+    first-child clause matters only at the root, as the rule above says.
+    The certificate is w(a) w(b) w(c) of the goal: the lexicographically
+    first shortest slide word, alpha moves first.
 
     The walk starts only when some transition matrix is not the
     identity, so g >= 2: at g <= 1 a determinant-1 transition is the
@@ -426,8 +425,6 @@ def _certificate(up, goal, g: int) -> tuple[SlideMove, ...]:
         word = []
         while s:
             s, k = up[s]
-            target, rest = divmod(k, 2 * (g - 1))
-            source, minus = divmod(rest, 2)
-            word.append(SlideMove(system, target, source + (source >= target), 1 - 2 * minus))
+            word.append(_move(system, k, g))
         moves += reversed(word)
     return tuple(moves)
