@@ -13,6 +13,7 @@ The test imports whichever ``trisect`` is on the path, so it checks an
 installed package as well as the checkout.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -22,8 +23,16 @@ from pathlib import Path
 
 import pytest
 
-from trisect import builtin, builtin_names, random_symplectic
-from trisect.cli import run, serialize_diagram
+from trisect import (
+    SlideMove,
+    apply_diffeomorphism,
+    builtin,
+    builtin_names,
+    handle_slide,
+    random_symplectic,
+    stabilize,
+)
+from trisect.cli import _build_parser, run, serialize_diagram
 
 DATA = Path(__file__).resolve().parent / "data" / "cli_outputs.json"
 
@@ -68,11 +77,10 @@ def test_output_matches_corpus(case, workdir):
 
 
 def test_corpus_covers_every_command():
-    commands = {c["argv"][0] for c in _CORPUS["cases"]}
-    assert commands == {
-        "validate", "invariants", "reverse", "stabilize", "slide", "diffeo",
-        "sum", "compare", "example",
-    }
+    subparsers = next(
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    assert {c["argv"][0] for c in _CORPUS["cases"]} == set(subparsers.choices)
 
 
 def _inputs_and_argvs():
@@ -92,6 +100,22 @@ def _inputs_and_argvs():
     s4_lines[alpha_row] = s4_lines[alpha_row].replace("1", "2", 1)
     inputs["s4-g3-bad.tris"] = "".join(s4_lines)
     genus.update({"cp2-bad": 1, "s4-g3-bad": 3})
+
+    # three gamma slides from s4-g3: compare finds it as the last node of
+    # an 11871-node budget
+    s4_gamma3 = builtin("s4-g3")
+    for target, source in ((0, 1), (1, 2), (2, 0)):
+        s4_gamma3 = handle_slide(s4_gamma3, SlideMove("gamma", target, source, 1))
+    inputs["s4-g3-gamma3.tris"] = serialize_diagram(s4_gamma3)
+
+    # validation's Gram product packed into 64-bit slots (genus 13), and
+    # past 2**63 into wide slots (genus 4 with 48-bit entries)
+    cp2_g13 = builtin("cp2")
+    for _ in range(4):
+        cp2_g13 = stabilize(cp2_g13)
+    inputs["cp2-g13.tris"] = serialize_diagram(cp2_g13)
+    cp2_g4 = apply_diffeomorphism(stabilize(builtin("cp2")), random_symplectic(4, 1, 60))
+    inputs["cp2-g4-wide.tris"] = serialize_diagram(cp2_g4)
 
     cp2 = texts["cp2"]
     malformed = {
@@ -145,6 +169,14 @@ def _inputs_and_argvs():
         ["slide", "s4-g3.tris", "--system", "beta", "--target", "0", "--source", "2",
          "--sign", "-"],
         ["example", "k3"],
+        ["compare", "s4-g3.tris", "s4-g3-gamma3.tris", "--depth", "3", "--nodes", "11871"],
+        ["compare", "s4-g3.tris", "s4-g3-gamma3.tris", "--depth", "3", "--nodes", "11870"],
+        ["examples"],
+        ["params", "fiber-s1", "--genus", "2"],
+        ["params", "bundle-s2", "--fiber-genus", "1"],
+        ["params", "fiber-s1", "--genus", "-1"],
+        ["invariants", "cp2-g13.tris"],
+        ["invariants", "cp2-g4-wide.tris"],
     ]
     return inputs, argvs
 
