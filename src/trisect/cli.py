@@ -25,7 +25,9 @@ yields that canonical form.
 Exit codes: 0 success (valid / equivalent / identical), 1 invalid
 diagram or distinct-by-invariant, 2 usage or parse error, 3 comparison
 budget exhausted (unknown), 141 (128 + SIGPIPE) the reader of stdout
-stopped early.
+stopped early.  Only validate, invariants, compare, sum and stabilize
+-n >= 1 exit 1 on an invalid diagram; slide, diffeo, reverse and
+stabilize -n 0 print its image, as the moves validate nothing.
 """
 
 from __future__ import annotations

@@ -11,6 +11,15 @@ The moves that preserve the presented 4-manifold are:
   * connected sum of any number of diagrams, built as one block direct
     sum, and orientation reversal.
 
+One validity rule covers them.  A move of one diagram validates nothing
+and is defined for any diagram: ``handle_slide``,
+``apply_diffeomorphism`` and ``reverse_orientation`` act on the classes
+whatever they present, and so does stabilizing zero times.
+``connect_sum`` (and ``stabilize``, which calls it) is the one move that
+validates: it validates each input that carries no report yet, once,
+because the sum carries its inputs' reports.  Commands that read facts
+validate where they read them.
+
 Each move builds its result through ``TrisectionDiagram._from_classes``
 from the result's three class matrices, so a move's output carries no
 atlas name.  ``direct_sum`` lives in ``diagram``, beside the report it
@@ -87,7 +96,10 @@ class SlideMove:
 
 
 def handle_slide(d: TrisectionDiagram, move: SlideMove) -> TrisectionDiagram:
-    """Apply one slide; the inverse move restores the diagram exactly."""
+    """Apply one slide; the inverse move restores the diagram exactly.
+
+    Validates nothing; defined for any diagram.
+    """
     g = d.genus
     if move.target >= g or move.source >= g:
         raise IndexError(f"slide indices out of range for genus {g}")
@@ -159,7 +171,10 @@ def stabilize(d: TrisectionDiagram) -> TrisectionDiagram:
 
 
 def apply_diffeomorphism(d: TrisectionDiagram, s: IntMatrix) -> TrisectionDiagram:
-    """Transform every class by a symplectic matrix acting on the right."""
+    """Transform every class by a symplectic matrix acting on the right.
+
+    Validates nothing; defined for any diagram.
+    """
     if s.rows != 2 * d.genus or s.cols != 2 * d.genus:
         raise ValueError(
             f"matrix is {s.rows} x {s.cols}, diagram needs {2 * d.genus} x {2 * d.genus}"
@@ -174,8 +189,13 @@ def reverse_orientation(d: TrisectionDiagram) -> TrisectionDiagram:
 
     An involution; it negates the signature and preserves (g, k), chi
     and first homology.
+
+    Validates nothing; defined for any diagram.  Reversal negates omega,
+    so the reversed diagram has the input's system factors, pair reports
+    and validity, with every non-isotropic value and the triple negated:
+    a check before reversing would decide nothing that the result's own
+    validation does not.
     """
-    require_valid(d)
     g = d.genus
     classes = []
     for sys in d.systems:

@@ -10,12 +10,11 @@ regenerates the corpus:
     PYTHONPATH=src python tests/test_cli_outputs.py
 
 The test imports whichever ``trisect`` is on the path, so it checks an
-installed package as well as the checkout.
+installed package as well as the checkout.  ``cli_corpus.py`` holds the
+runner it shares with a replay that needs no pytest.
 """
 
 import argparse
-import contextlib
-import io
 import json
 import sys
 import tempfile
@@ -32,47 +31,23 @@ from trisect import (
     random_symplectic,
     stabilize,
 )
-from trisect.cli import _build_parser, run, serialize_diagram
+from trisect.cli import _build_parser, serialize_diagram
 
-DATA = Path(__file__).resolve().parent / "data" / "cli_outputs.json"
+from cli_corpus import DATA, load_corpus, run_case, write_inputs
 
-
-def _cli(argv, inputs, workdir):
-    """Run argv with each input name replaced by its file under workdir."""
-    argv = [str(workdir / a) if a in inputs else a for a in argv]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
-def _write_inputs(inputs, workdir):
-    for name, text in inputs.items():
-        (workdir / name).write_text(text, encoding="utf-8")
-
-
-def _corpus():
-    """The stored corpus; none before its first generation, which the
-    coverage test then reports."""
-    if not DATA.exists():
-        return {"inputs": {}, "cases": []}
-    with DATA.open(encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-_CORPUS = _corpus()
+_CORPUS = load_corpus()
 
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli_outputs")
-    _write_inputs(_CORPUS["inputs"], path)
+    write_inputs(_CORPUS["inputs"], path)
     return path
 
 
 @pytest.mark.parametrize("case", _CORPUS["cases"], ids=lambda c: " ".join(c["argv"]))
 def test_output_matches_corpus(case, workdir):
-    code, out, err = _cli(case["argv"], _CORPUS["inputs"], workdir)
+    code, out, err = run_case(case["argv"], _CORPUS["inputs"], workdir)
     assert (code, out, err) == (case["code"], case["stdout"], case["stderr"])
 
 
@@ -187,9 +162,9 @@ def _regenerate():
     cases = []
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
-        _write_inputs(inputs, workdir)
+        write_inputs(inputs, workdir)
         for argv in argvs:
-            code, out, err = _cli(argv, inputs, workdir)
+            code, out, err = run_case(argv, inputs, workdir)
             if tmp in out or tmp in err:  # a file path is not part of the corpus
                 continue
             cases.append({"argv": argv, "code": code, "stdout": out, "stderr": err})
