@@ -23,11 +23,13 @@ comments, single spaces), and parsing then serializing any accepted file
 yields that canonical form.
 
 Exit codes: 0 success (valid / equivalent / identical), 1 invalid
-diagram or distinct-by-invariant, 2 usage or parse error, 3 comparison
-budget exhausted (unknown), 141 (128 + SIGPIPE) the reader of stdout
-stopped early.  Only validate, invariants, compare, sum and stabilize
--n >= 1 exit 1 on an invalid diagram; slide, diffeo, reverse and
-stabilize -n 0 print its image, as the moves validate nothing.
+diagram or distinct-by-invariant, 2 usage or parse error, or a request
+too large to build (stabilize -n 2**61 runs out of memory, and -n 2**63
+past the index range), 3 comparison budget exhausted (unknown), 141
+(128 + SIGPIPE) the reader of stdout stopped early.  Only validate,
+invariants, compare, sum and stabilize -n >= 1 exit 1 on an invalid
+diagram; slide, diffeo, reverse and stabilize -n 0 print its image, as
+the moves validate nothing.
 """
 
 from __future__ import annotations
@@ -399,6 +401,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         raise
     except (OSError, ValueError, IndexError, TypeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # carries no message
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -6,15 +6,17 @@ The matrices in this package have at most a few dozen rows, so the
 eliminations are plain elementary-operation methods.
 
 Every matrix product in the package is formed by `_dots`, and only this
-module decides how.  Below `_PACK_MIN` multiplications it takes plain
-dot products.  At or above it, it packs each coordinate column of the
-right factor into one integer of slots (Kronecker substitution), so each
-row of the product is a single sum of products of a small int and a big
-one, read back slot by slot.  If no entry of the product can reach 2**63
-in magnitude (the exact bound is length * max|a| * max|b|), the slots are
-64-bit words read through array('q') (`_packed_dots`); otherwise they
-are as many whole bytes as the bound needs, read through int.from_bytes
-(`_wide_dots`).  Every path is exact.
+module decides how.  It packs each coordinate column of the right factor
+into one integer of slots (Kronecker substitution), so each row of the
+product is a single sum of products of a small int and a big one, read
+back slot by slot.  The operands' bound alone picks the slots: if no
+entry of the product can reach 2**63 in magnitude (the exact bound is
+length * max|a| * max|b|), they are 64-bit words read through array('q')
+(`_packed_dots`); otherwise they are as many whole bytes as the bound
+needs, read through int.from_bytes (`_wide_dots`).  Both are exact.
+
+Fraction-free elimination takes its steps through `_bareiss`, which
+`IntMatrix.det` and `symmetric_signature` share.
 """
 
 from __future__ import annotations
@@ -28,14 +30,6 @@ from itertools import chain
 from math import lcm
 from operator import add, mul, neg, sub
 from typing import Iterable, Sequence, Union
-
-# Products of fewer multiplications (rows x cols x length) take plain dot
-# products.  On validation's 3g x 3g x 2g Gram product (CPython 3.11,
-# x86-64, median of 4 diagrams) slots took 1.0x the time of plain dot
-# products at g = 2 (144), 0.74x (small entries) to 1.05x (40-90 bit
-# entries) at g = 3 (486) and 0.58x at g = 4 (1152); random 10 x 10 x 10
-# to 16 x 4 x 16 products took 0.6x-1.06x.  So genus 3 stays plain.
-_PACK_MIN = 1000
 
 # 64-bit slots are packed and read back through array('q'), which needs
 # little-endian 8-byte items; elsewhere products take `_wide_dots`.
@@ -192,20 +186,26 @@ class IntMatrix:
         prev = 1
         for k in range(n - 1):
             if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
+                i = next((r for r in range(k + 1, n) if a[r][k]), None)
+                if i is None:
                     return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    # exact division: Bareiss guarantees prev divides this
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
+                a[k], a[i], sign = a[i], a[k], -sign
+            _bareiss(a, k, range(k + 1, n), prev)
             prev = a[k][k]
         return sign * a[n - 1][n - 1]
+
+
+def _bareiss(grid: list[list[int]], p: int, rest: Sequence[int], prev: int) -> None:
+    """One fraction-free elimination step on pivot grid[p][p], in place:
+    every grid[i][j] with i and j in ``rest`` (which holds neither p nor
+    a repeat) becomes (grid[i][j] * grid[p][p] - grid[i][p] * grid[p][j])
+    // prev, where ``prev`` is the previous step's pivot (1 at the first).
+    Bareiss's identity makes every division exact."""
+    top, d = grid[p], grid[p][p]
+    for i in rest:
+        row, c = grid[i], grid[i][p]
+        for j in rest:
+            row[j] = (row[j] * d - c * top[j]) // prev
 
 
 def _dots(
@@ -213,16 +213,13 @@ def _dots(
 ) -> tuple[tuple[int, ...], ...]:
     """Every dot product: row i, column j is a_rows[i] . b_rows[j].
 
-    The rows all have one length.  A product of `_PACK_MIN` or more
-    multiplications is `_packed_dots` where that applies and `_wide_dots`
-    where it declines; a smaller one, which plain dot products form
-    faster, takes plain dot products.
+    The rows all have one length.  Every product, whatever its size, is
+    `_packed_dots` where the operands' `_bound` fits a 64-bit slot and
+    `_wide_dots` where it does not.
     """
-    if len(a_rows) * len(b_rows) * (len(b_rows[0]) if b_rows else 0) >= _PACK_MIN:
-        bound = _bound(a_rows, b_rows)
-        dots = _packed_dots(a_rows, b_rows, bound)
-        return _wide_dots(a_rows, b_rows, bound) if dots is None else dots
-    return tuple(tuple([sum(map(mul, a, b)) for b in b_rows]) for a in a_rows)
+    bound = _bound(a_rows, b_rows)
+    dots = _packed_dots(a_rows, b_rows, bound)
+    return _wide_dots(a_rows, b_rows, bound) if dots is None else dots
 
 
 def _bound(a_rows: Sequence[Sequence[int]], b_rows: Sequence[Sequence[int]]) -> int:
@@ -632,13 +629,7 @@ def symmetric_signature(s: IntMatrix | Sequence[Sequence[Rational]]) -> tuple[in
         else:
             n_neg += 1
         active.remove(p)
-        pivot_row = grid[p]
-        for i in active:
-            row = grid[i]
-            c = row[p]
-            for j in active:
-                # exact division: Bareiss guarantees prev divides this
-                row[j] = (row[j] * d - c * pivot_row[j]) // prev
+        _bareiss(grid, p, active, prev)
         prev = d
     return (n_pos, n_neg, n_zero)
 

@@ -3,7 +3,7 @@ alone.
 
 `first_nonisotropic` scans the upper triangle of a system's pairings up to
 the first nonzero one.  The oracle keeps the replaced two-path version
-verbatim, with its size test inlined: from `_PACK_MIN` multiplications up
+verbatim, with its size test inlined: from 1000 multiplications up
 it formed the whole packed g x g product, and it scanned only where
 packing declined.  `validate` no longer calls it: it reads every pairing,
 the isotropy scans included, off one Gram product of the stacked systems,
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import trisect
 from trisect import IntMatrix, builtin, connect_sum, random_symplectic, validate
-from trisect.intlin import _PACK_MIN, _packed_dots
+from trisect.intlin import _packed_dots
 from trisect.symplectic import _dual, first_nonisotropic
 
 from helpers import random_valid_diagram, shuffle_diagram
@@ -32,7 +32,7 @@ def oracle_first_nonisotropic(rows: IntMatrix):
     duals = [_dual(v) for v in r]
     n = len(r)
     pairs = None
-    if len(r) * len(duals) * (len(duals[0]) if duals else 0) >= _PACK_MIN:
+    if len(r) * len(duals) * (len(duals[0]) if duals else 0) >= 1000:
         pairs = _packed_dots(r, duals)
     if pairs is not None:
         return next(

@@ -331,9 +331,8 @@ def slot_paths(words: bool):
     """Every product, whatever its size, takes the slot kernels; with
     ``words`` False there is no word array, so every product takes wide
     slots."""
-    with mock.patch.object(intlin, "_PACK_MIN", 0):
-        with mock.patch.object(intlin, "_WORD_ARRAY", words and _WORD_ARRAY):
-            yield
+    with mock.patch.object(intlin, "_WORD_ARRAY", words and _WORD_ARRAY):
+        yield
 
 
 def slot_edge_operands():

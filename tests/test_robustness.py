@@ -68,6 +68,17 @@ def test_stabilization_count_past_the_index_range_is_a_usage_error(tmp_path, cou
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_stabilization_count_past_addressable_memory_is_a_usage_error(tmp_path):
+    # 2**61 blocks need 2**64 bytes of pointers, past the 2**63 bytes the
+    # allocator accepts, so the list fails with MemoryError before any
+    # allocation; a smaller count would really try to build it
+    path = tmp_path / "cp2.tris"
+    path.write_text(cli("example", "cp2")[1])
+    code, out, err = cli("stabilize", str(path), "-n", str(2**61))
+    assert (code, out) == (2, "")
+    assert err == "error: out of memory\n"
+
+
 def test_library_has_no_bare_asserts():
     package = Path(trisect.__file__).parent
     found = [
