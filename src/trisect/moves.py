@@ -44,13 +44,16 @@ walks the product's breadth-first tree from that lemma alone: it grows
 the one per-system tree that the systems share, counts the nodes of the
 product tree instead of storing them, and finds the same nodes in the
 same order as a search over diagrams would, so verdicts and
-certificates are the same.
+certificates are the same.  It stores each row of a transition matrix
+as one int, its entries in signed slots of a width the budgets bound,
+so a slide is one integer addition and a state hashes g ints.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from math import comb
 from operator import add, sub
 from typing import Any, Iterator
 
@@ -248,17 +251,27 @@ def _all_moves(g: int) -> Iterator[SlideMove]:
     return (_move(s, k, g) for s in LABELS for k in range(2 * g * (g - 1)))
 
 
-def _slid_rows(rows: tuple[tuple[int, ...], ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """The rows after each slide, in move order (target, source, sign)."""
+def _slid_rows(rows: tuple[Any, ...]) -> Iterator[tuple[Any, ...]]:
+    """The rows after each slide, in move order (target, source, sign).
+
+    Rows are tuples of entries, or ints packing them as ``compare`` does;
+    a packed row slides by one integer addition, which is ``_slid_row``
+    applied slot by slot.
+    """
     g = len(rows)
     for target in range(g):
         head, row, tail = rows[:target], rows[target], rows[target + 1 :]
+        packed = type(row) is int
         for source in range(g):
             if target == source:
                 continue
             other = rows[source]
-            yield head + (_slid_row(row, other, 1),) + tail
-            yield head + (_slid_row(row, other, -1),) + tail
+            if packed:
+                yield head + (row + other,) + tail
+                yield head + (row - other,) + tail
+            else:
+                yield head + (_slid_row(row, other, 1),) + tail
+                yield head + (_slid_row(row, other, -1),) + tail
 
 
 def _transition(x1: IntMatrix, x2: IntMatrix) -> IntMatrix | None:
@@ -337,6 +350,26 @@ def compare(
     The certificate is w(a) w(b) w(c) of the goal: the lexicographically
     first shortest slide word, alpha moves first.
 
+    The walk stores a state's row (m_0, ..., m_(g-1)) as the int
+    sum of m_j * 2^(b j), b-bit signed slots, so ``_slid_rows`` slides a
+    row by one integer addition and a state hashes g ints.  Packing is
+    linear, and injective on rows whose entries are below 2^(b - 1) in
+    magnitude.  A slide at most doubles the largest entry, so a state at
+    layer L of a system's tree has entries at most 2^L in magnitude.
+    Every breadth-first layer of a system's tree is nonempty (see
+    below), so product layer k has at least C(k + 2, 2) nodes, one per
+    split of k over the three systems, and layers 0 .. d at least
+    C(d + 3, 3).  The walk enters loop index d only with those nodes
+    counted and ``seen`` below max_nodes, so only when d < max_depth and
+    d = 0 or C(d + 3, 3) < max_nodes; there it expands states of layer
+    at most d, whose children have entries at most 2^(d + 1).  So b =
+    top + 3, top the largest such d, packs every state the walk makes
+    injectively, and b does not grow with max_depth past what max_nodes
+    lets the walk reach.  A goal with an entry of 2^(b - 1) or more in
+    magnitude is out of the walk's reach; it is never packed, where it
+    could alias a state, and the walk runs on to the UNKNOWN of an
+    exhausted budget.
+
     The walk starts only when some transition matrix is not the
     identity, so g >= 2: at g <= 1 a determinant-1 transition is the
     identity, and equal diagrams were answered above.  The slide graph
@@ -361,12 +394,23 @@ def compare(
 
     g = d1.genus
     width = 2 * g * (g - 1)  # slides per system
-    one = tuple(tuple(int(i == j) for j in range(g)) for i in range(g))
+    # the slot width: bits - 3 is the last loop index the walk can enter
+    bits = 3
+    while bits - 2 < max_depth and comb(bits + 1, 3) < max_nodes:
+        bits += 1
+
+    def pack(rows):
+        return tuple(sum(e << bits * j for j, e in enumerate(r)) for r in rows)
+
+    one = tuple(1 << bits * i for i in range(g))  # the identity, packed
     ids = {one: 0}
     states = [one]
     up = [(0, 0)]  # per state: (tree parent, move index); the identity's is unused
     first = [1]  # an expanded state s has the children first[s] .. first[s + 1] - 1
+    # a goal with an entry outside the slots is never packed, nor found
     want = [m.entries for m in transitions]
+    fits = all(abs(e) < 1 << bits - 1 for m in want for r in m for e in r)
+    want = [pack(m) for m in want] if fits else None
     goal = ()  # the goal's ids, once the table holds all three
     home, hx = None, -1  # the goal's tree parent: (i, base) of its run, and x
 
@@ -382,7 +426,7 @@ def compare(
                     states.append(m)
                     up.append((t, k))
             first.append(len(states))
-        if not goal and all(m in ids for m in want):
+        if not goal and want and all(m in ids for m in want):
             goal = tuple(ids[m] for m in want)
             p, gi = list(goal), _last(goal)
             p[gi] = up[goal[gi]][0]

@@ -1,0 +1,64 @@
+"""A seeded sweep of ``compare`` against the interned-product search it
+replaced, ``oracle_compare`` from ``test_tree_walk.py``.
+
+Each pair is a random valid diagram of genus 2-5 and its image under a
+random word of 1-6 slides, in one system or in any; half of the pairs
+are searched from the image back.  The oracle runs once with a cap of
+``CAP`` nodes to find the node count t at which it returns, around the
+goal's breadth-first index when it finds the goal.  Then both searches
+run at max_nodes t - 1, t and t + 1, with max_depth one below the word's
+length, the length, or 10**6, so that the node budget alone bounds the
+walk.  A pair matches when every verdict and certificate is equal.
+
+Run as a script; it prints each mismatch and a summary line and exits 1
+if any pair differs:
+
+    PYTHONPATH=src python tests/compare_sweep.py [PAIRS] [SEED]
+
+PAIRS defaults to 3000 and SEED to 0.  It needs the interpreter that has
+pytest and hypothesis, which ``test_tree_walk`` imports, and it stays out
+of the test suite: 3000 pairs take about a minute.
+"""
+
+import random
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from trisect import LABELS, compare  # noqa: E402
+
+from test_tree_walk import CAP, _base, _slide_word, oracle_compare  # noqa: E402
+
+
+def sweep(pairs: int = 3000, seed: int = 0) -> int:
+    """Compare ``pairs`` seeded pairs; print each mismatch and a summary,
+    and return the number of mismatched pairs."""
+    rng = random.Random(seed)
+    mismatches = 0
+    for n in range(pairs):
+        genus, length = rng.randint(2, 5), rng.randint(1, 6)
+        system = rng.choice((None,) + LABELS)
+        d = _base(rng.randrange(10**6), genus)
+        e = _slide_word(d, random.Random(rng.randrange(10**6)), length, system)
+        if rng.random() < 0.5:
+            d, e = e, d
+        depth = rng.choice((length - 1, length, 10**6))
+        count = []
+        oracle_compare(d, e, max_depth=depth, max_nodes=CAP, count=count)
+        t = count[0] if count else CAP
+        for nodes in range(max(1, t - 1), t + 2):
+            got = compare(d, e, max_depth=depth, max_nodes=nodes)
+            want = oracle_compare(d, e, max_depth=depth, max_nodes=nodes)
+            if got != want:
+                mismatches += 1
+                print(f"mismatch: pair {n}, genus {genus}, max_depth {depth}, "
+                      f"max_nodes {nodes}: {got} against {want}")
+                break
+    print(f"{pairs} pairs, {mismatches} mismatches")
+    return mismatches
+
+
+if __name__ == "__main__":
+    args = [int(a) for a in sys.argv[1:3]]
+    sys.exit(1 if sweep(*args) else 0)

@@ -6,9 +6,10 @@ The oracle keeps the replaced code: the Smith form that updated v column by
 column and cleared the pivot row by whole-column operations, pairings
 through `omega`, `is_symplectic` as s @ j @ s^T == j, and the matrix
 product that built each column by index.  The packed and wide-slot
-product kernels are checked against plain dot products at every size,
-whatever the size at which `_dots` starts to use them, and the wide one
-far past 2**63 and with no word array.
+product kernels are checked against plain dot products.  `_dots` picks
+between them by the operands' bound alone, whatever their size: packed
+below 2**63, wide slots from there up.  The wide one is also checked far
+past 2**63 and with no word array.
 """
 
 import contextlib
@@ -271,7 +272,7 @@ def oracle_dots(a_rows, b_rows):
 
 
 # exponents k with products of entries near 2**k: the packed product takes
-# bounds below 2**63, and _dots takes plain products from there up
+# bounds below 2**63, and _dots takes wide slots (_wide_dots) from there up
 EDGES = (0, 1, 31, 62, 63, 64, 65, 126, 127, 128, 200)
 
 
@@ -303,7 +304,7 @@ def dot_operands(draw, edges=EDGES):
 @settings(max_examples=300, deadline=None)
 @given(dot_operands())
 @example((((2**63 - 1,),), ((1,),)))  # the largest bound the packed product takes
-@example((((-(2**63),),), ((1,),)))  # the smallest bound it leaves to plain products
+@example((((-(2**63),),), ((1,),)))  # the smallest bound it leaves to wide slots
 @example((((-(2**63),),), ((-1,),)))
 @example((((2**64,), (-(2**64),)), ((2**63 - 1,), (-(2**63),))))  # near 2**127
 @example((((-(2**127),),), ((-1,), (1,))))
