@@ -29,10 +29,11 @@ carries, and is re-exported here.
 bounded budget: it never stabilizes and never searches the
 diffeomorphism orbit, so its negative answers are "distinct by
 invariant" (a certificate) or "unknown" (budget exhausted, or the
-second diagram outside the first's slide orbit), never a claim of
-inequivalence.  A slide touches the classes of one system only and acts
-on them on the left, by an elementary matrix E of SL(g, Z), so the
-slide orbit is a product of three per-system orbits.  A system X of the
+second diagram outside the first's slide orbit or beyond what the
+budgets let the search reach), never a claim of inequivalence.  A slide
+touches the classes of one system only and acts on them on the left, by
+an elementary matrix E of SL(g, Z), so the slide orbit is a product of
+three per-system orbits.  A system X of the
 first diagram is primitive of rank g, so its slide images are the
 products M @ X for M in SL(g, Z), and M is determined by M @ X.  The
 search therefore runs on triples of g x g transition matrices, all
@@ -46,14 +47,15 @@ product tree instead of storing them, and finds the same nodes in the
 same order as a search over diagrams would, so verdicts and
 certificates are the same.  It stores each row of a transition matrix
 as one int, its entries in signed slots of a width the budgets bound,
-so a slide is one integer addition and a state hashes g ints.
+so a slide is one integer addition and a state hashes g ints.  The
+width is one closed form that grows with log2 of the node budget, so a
+generous budget costs what the nodes it lets the search visit cost.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from math import comb
 from operator import add, sub
 from typing import Any, Iterator
 
@@ -221,8 +223,8 @@ class EquivalenceVerdict:
     SLIDE_EQUIVALENT the certificate lists moves carrying the first
     diagram onto the second; for DISTINCT the invariant name and both
     values are recorded.  UNKNOWN means the search budget ran out, or the
-    second diagram lies outside the first's slide orbit, and certifies
-    nothing.
+    second diagram lies outside the first's slide orbit or beyond what
+    the budgets let the search reach, and certifies nothing.
     """
 
     kind: str
@@ -356,26 +358,31 @@ def compare(
     linear, and injective on rows whose entries are below 2^(b - 1) in
     magnitude.  A slide at most doubles the largest entry, so a state at
     layer L of a system's tree has entries at most 2^L in magnitude.
-    Every breadth-first layer of a system's tree is nonempty (see
-    below), so product layer k has at least C(k + 2, 2) nodes, one per
-    split of k over the three systems, and layers 0 .. d at least
-    C(d + 3, 3).  The walk enters loop index d only with those nodes
-    counted and ``seen`` below max_nodes, so only when d < max_depth and
-    d = 0 or C(d + 3, 3) < max_nodes; there it expands states of layer
-    at most d, whose children have entries at most 2^(d + 1).  So b =
-    top + 3, top the largest such d, packs every state the walk makes
-    injectively, and b does not grow with max_depth past what max_nodes
-    lets the walk reach.  A goal with an entry of 2^(b - 1) or more in
-    magnitude is out of the walk's reach; it is never packed, where it
-    could alias a state, and the walk runs on to the UNKNOWN of an
-    exhausted budget.
-
     The walk starts only when some transition matrix is not the
     identity, so g >= 2: at g <= 1 a determinant-1 transition is the
-    identity, and equal diagrams were answered above.  The slide graph
-    of SL(g, Z)^3 is then infinite and connected with finite degrees,
-    so every breadth-first layer is nonempty, and the search stops only
-    at the goal, at max_nodes or at max_depth.
+    identity, and equal diagrams were answered above.  The slides "row 0
+    += row 1" and "row 1 += row 0" of one system multiply its transition
+    matrix by [[1, 1], [0, 1]] and [[1, 0], [1, 1]] on the first two
+    rows, and these generate SL(2, N) as a free monoid (the Stern-Brocot
+    tree; Graham, Knuth and Patashnik, Concrete Mathematics, section
+    4.5), so their positive words are pairwise distinct matrices.  So
+    layers 0 .. d of a system's tree hold at least 2^(d + 1) - 1 states,
+    and product layers 0 .. d hold at least that many nodes.  The walk enters
+    loop index d only with those nodes counted and ``seen`` below
+    max_nodes, so only when d < max_depth and d = 0 or 2^(d + 1) <=
+    max_nodes; there it expands states of layer at most d, whose
+    children have entries at most 2^(d + 1).  Every such d is at most
+    top = max(0, min(max_depth - 1, max_nodes.bit_length() - 2)), so b =
+    top + 3, one closed form, packs every state the walk makes
+    injectively, and however large max_depth is, b grows only with log2
+    of max_nodes.  A goal with an entry of 2^(b - 1) or more in
+    magnitude is beyond every state the walk makes, whose entries are at
+    most 2^(b - 2), so the verdict is UNKNOWN at once, as for a goal
+    outside the slide orbit; every other goal packs.
+
+    At g >= 2 the slide graph of SL(g, Z)^3 is infinite and connected
+    with finite degrees, so every breadth-first layer is nonempty, and the search
+    stops only at the goal, at max_nodes or at max_depth.
     """
     _require_int(max_depth, "max_depth", 0)
     _require_int(max_nodes, "max_nodes", 1)
@@ -394,10 +401,12 @@ def compare(
 
     g = d1.genus
     width = 2 * g * (g - 1)  # slides per system
-    # the slot width: bits - 3 is the last loop index the walk can enter
-    bits = 3
-    while bits - 2 < max_depth and comb(bits + 1, 3) < max_nodes:
-        bits += 1
+    # the slot width: every state the walk makes has entries of magnitude at
+    # most 2^(bits - 2), so a goal with an entry the slots cannot hold is
+    # beyond its reach
+    bits = max(3, min(max_depth + 2, max_nodes.bit_length() + 1))
+    if any(abs(e) >= 1 << bits - 1 for m in transitions for r in m.entries for e in r):
+        return EquivalenceVerdict(UNKNOWN)
 
     def pack(rows):
         return tuple(sum(e << bits * j for j, e in enumerate(r)) for r in rows)
@@ -407,10 +416,7 @@ def compare(
     states = [one]
     up = [(0, 0)]  # per state: (tree parent, move index); the identity's is unused
     first = [1]  # an expanded state s has the children first[s] .. first[s + 1] - 1
-    # a goal with an entry outside the slots is never packed, nor found
-    want = [m.entries for m in transitions]
-    fits = all(abs(e) < 1 << bits - 1 for m in want for r in m for e in r)
-    want = [pack(m) for m in want] if fits else None
+    want = [pack(m.entries) for m in transitions]
     goal = ()  # the goal's ids, once the table holds all three
     home, hx = None, -1  # the goal's tree parent: (i, base) of its run, and x
 
@@ -426,7 +432,7 @@ def compare(
                     states.append(m)
                     up.append((t, k))
             first.append(len(states))
-        if not goal and want and all(m in ids for m in want):
+        if not goal and all(m in ids for m in want):
             goal = tuple(ids[m] for m in want)
             p, gi = list(goal), _last(goal)
             p[gi] = up[goal[gi]][0]

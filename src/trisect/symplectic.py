@@ -220,8 +220,9 @@ def triple_homology(q12, q23, q31) -> tuple[tuple[int, ...], int]:
     # looked up on the module, so a wrapper installed there (a tracer, a
     # call counter) sees this call too
     dec = intlin.snf((-q12.transpose()).vstack(q31))
-    y, z = (dec.u.submatrix(dec.rank, 2 * g, c, c + g) for c in (0, g))
-    n_pos, n_neg, _ = symmetric_signature(z @ q23.transpose() @ y.transpose())
+    kernel = dec.u.entries[dec.rank:]
+    gram = _dots(_dots([r[g:] for r in kernel], q23.entries), [r[:g] for r in kernel])
+    n_pos, n_neg, _ = symmetric_signature(gram)
     return dec.diagonal, n_pos - n_neg
 
 

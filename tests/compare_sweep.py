@@ -10,8 +10,13 @@ run at max_nodes t - 1, t and t + 1, with max_depth one below the word's
 length, the length, or 10**6, so that the node budget alone bounds the
 walk.  A pair matches when every verdict and certificate is equal.
 
-Run as a script; it prints each mismatch and a summary line and exits 1
-if any pair differs:
+A second leg checks generous budgets.  For every pair whose oracle found
+the goal under the cap, ``compare`` also runs at max_depth 10**6 and
+max_nodes 10**18, where the slot width is the widest the node budget
+gives, and must return the oracle's verdict and certificate.
+
+Run as a script; it prints each mismatch and a summary line per leg and
+exits 1 if any pair differs in either:
 
     PYTHONPATH=src python tests/compare_sweep.py [PAIRS] [SEED]
 
@@ -26,16 +31,16 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from trisect import LABELS, compare  # noqa: E402
+from trisect import LABELS, SLIDE_EQUIVALENT, compare  # noqa: E402
 
 from test_tree_walk import CAP, _base, _slide_word, oracle_compare  # noqa: E402
 
 
 def sweep(pairs: int = 3000, seed: int = 0) -> int:
-    """Compare ``pairs`` seeded pairs; print each mismatch and a summary,
-    and return the number of mismatched pairs."""
+    """Compare ``pairs`` seeded pairs; print each mismatch and a summary
+    per leg, and return the number of mismatches in both legs."""
     rng = random.Random(seed)
-    mismatches = 0
+    mismatches = found = generous = 0
     for n in range(pairs):
         genus, length = rng.randint(2, 5), rng.randint(1, 6)
         system = rng.choice((None,) + LABELS)
@@ -45,8 +50,15 @@ def sweep(pairs: int = 3000, seed: int = 0) -> int:
             d, e = e, d
         depth = rng.choice((length - 1, length, 10**6))
         count = []
-        oracle_compare(d, e, max_depth=depth, max_nodes=CAP, count=count)
+        capped = oracle_compare(d, e, max_depth=depth, max_nodes=CAP, count=count)
         t = count[0] if count else CAP
+        if capped.kind == SLIDE_EQUIVALENT:
+            found += 1
+            got = compare(d, e, max_depth=10**6, max_nodes=10**18)
+            if got != capped:
+                generous += 1
+                print(f"mismatch: pair {n}, genus {genus}, max_depth 10**6, "
+                      f"max_nodes 10**18: {got} against {capped}")
         for nodes in range(max(1, t - 1), t + 2):
             got = compare(d, e, max_depth=depth, max_nodes=nodes)
             want = oracle_compare(d, e, max_depth=depth, max_nodes=nodes)
@@ -56,7 +68,8 @@ def sweep(pairs: int = 3000, seed: int = 0) -> int:
                       f"max_nodes {nodes}: {got} against {want}")
                 break
     print(f"{pairs} pairs, {mismatches} mismatches")
-    return mismatches
+    print(f"{found} found goals at max_depth 10**6, max_nodes 10**18, {generous} mismatches")
+    return mismatches + generous
 
 
 if __name__ == "__main__":

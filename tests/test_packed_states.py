@@ -3,10 +3,13 @@ signed b-bit slots; the search it runs is the interned-product search
 of ``test_tree_walk.oracle_compare``, verdict and certificate, at every
 budget.
 
-``slot_bits`` restates the width that the ``compare`` docstring proves
-injective: b = top + 3, top the last loop index the walk can enter.  The
-pinned goals sit at the edges of that range, and one packs, were it
-packed, onto a state the walk reaches.
+``slot_bits`` keeps an earlier width, grown from a cubic lower bound on
+the layer sizes: b = top + 3, top the last loop index that bound lets
+the walk enter.  ``compare`` now takes the closed form of its docstring,
+never narrower at these budgets, so the pinned goals sit at the edges of
+the earlier width, where ``compare`` must still give the oracle's
+verdicts, and one would pack, were it packed, onto a state the walk
+reaches.
 """
 
 import random
@@ -140,11 +143,11 @@ def test_a_goal_at_the_deepest_layer_the_budget_allows():
 
 
 def test_a_huge_depth_costs_what_the_node_budget_lets_the_walk_reach():
-    # the width comes from the layers max_nodes lets the walk enter, 85
-    # bits here; from max_depth it would be a million bits a slot, and
-    # from min(max_depth, max_nodes), 100,002 bits, the call takes about
-    # 90 times as long as with the bound (1.8 s against 0.02 s on a
-    # 3.11 interpreter)
+    # the width comes from the layers max_nodes lets the walk enter, not
+    # from max_depth, which would give a million bits a slot; with
+    # min(max_depth, max_nodes), 100,002 bits, the call takes about 90
+    # times as long as with a bound from max_nodes (1.8 s against 0.02 s
+    # on a 3.11 interpreter)
     d = connect_sum(builtin("cp2"), builtin("s4-g3"))
     rng = random.Random(4)
     e = d

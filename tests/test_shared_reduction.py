@@ -7,6 +7,8 @@ the Smith diagonal vanishes, and H_1's invariant factors from a second
 Smith form of the same stacked matrix.
 """
 
+import contextlib
+import io
 import random
 
 import pytest
@@ -16,7 +18,9 @@ from hypothesis import strategies as st
 import trisect
 from trisect import (
     IntMatrix,
+    builtin,
     compare,
+    connect_sum,
     euler_characteristic,
     first_homology,
     invariant_factors,
@@ -28,6 +32,7 @@ from trisect import (
     symmetric_signature,
     validate,
 )
+from trisect.cli import run, serialize_diagram
 from trisect.intlin import _hermite, left_kernel_basis
 from trisect.symplectic import triple_homology
 
@@ -157,3 +162,24 @@ def test_signature_is_bounded_by_b2_and_has_its_parity(seed):
         assert abs(sigma) <= b2
         assert (sigma - b2) % 2 == 0
 
+
+
+def test_invariants_reads_the_kernel_off_u_without_a_checked_build(tmp_path, monkeypatch):
+    # the three parsed systems are the only checked IntMatrix constructions:
+    # the kernel's Y and Z blocks are rows of u, not checked submatrices
+    d = connect_sum(*map(builtin, ("cp2", "s1xs3", "cp2-mirror", "s2xs2-g2-model", "cp2")))
+    d = shuffle_diagram(d, random.Random(3), slides=6)
+    assert d.genus == 6
+    path = tmp_path / "g6.tris"
+    path.write_text(serialize_diagram(d))
+    builds = []
+    original = IntMatrix.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(IntMatrix, "__init__", counting)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["invariants", str(path)]) == 0
+    assert len(builds) == 3
