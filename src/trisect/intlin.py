@@ -17,6 +17,11 @@ needs, read through int.from_bytes (`_wide_dots`).  Both are exact.
 
 Fraction-free elimination takes its steps through `_bareiss`, which
 `IntMatrix.det` and `symmetric_signature` share.
+
+`snf` records its row and column operations, and the transforms u and v
+of its `SmithDecomposition` are `functools.cached_property`s that replay
+the records: each is built once, on first read, and never for a caller
+that reads only d.
 """
 
 from __future__ import annotations
@@ -24,8 +29,9 @@ from __future__ import annotations
 import random
 import sys
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from math import lcm
 from operator import add, mul, neg, sub
@@ -306,36 +312,27 @@ class SmithDecomposition:
 
     Built from (d, u, v), by position or keyword, and compares, hashes
     and prints by them, so its repr evaluates back to it; immutable.  A
-    decomposition returned by `snf` holds the row and column operations of
-    its elimination instead of u and v: each transform is built from them
-    the first time it is read, then kept, so a caller that reads only d
-    never pays for the transforms.  The column record clears the row of
-    each unit pivot with one ``clear`` op, which `_replay` expands into
-    the column additions it stands for, so v is the eager elimination's.
+    decomposition returned by `snf` holds d and the row and column
+    operations of its elimination, and u and v are cached properties
+    that replay them: each transform is built once, on first read, so a
+    caller that reads only d never pays for the transforms.  The column
+    record clears the row of each unit pivot with one ``clear`` op, which
+    `_replay` expands into the column additions it stands for, so v is
+    the eager elimination's.
     """
 
     d: IntMatrix
-    _u: IntMatrix | None
-    _v: IntMatrix | None
-    _row_ops: list | None = field(default=None, init=False, repr=False)
-    _col_ops: list | None = field(default=None, init=False, repr=False)
 
     def __init__(self, d: IntMatrix, u: IntMatrix | None, v: IntMatrix | None):
-        vars(self).update(d=d, _u=u, _v=v)
+        vars(self).update(d=d, u=u, v=v)
 
-    @property
+    @cached_property
     def u(self) -> IntMatrix:
-        if self._u is None and self._row_ops is not None:
-            n = self.d.rows
-            object.__setattr__(self, "_u", IntMatrix._of(_replay(n, self._row_ops), n))
-        return self._u
+        return IntMatrix._of(_replay(self.d.rows, self._row_ops), self.d.rows)
 
-    @property
+    @cached_property
     def v(self) -> IntMatrix:
-        if self._v is None and self._col_ops is not None:
-            n = self.d.cols
-            object.__setattr__(self, "_v", IntMatrix._of(tuple(zip(*_replay(n, self._col_ops))), n))
-        return self._v
+        return IntMatrix._of(tuple(zip(*_replay(self.d.cols, self._col_ops))), self.d.cols)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SmithDecomposition):
@@ -398,14 +395,16 @@ def snf(m: IntMatrix) -> SmithDecomposition:
     The elimination updates only the trailing block: ``block`` holds rows
     t.. and columns t.. of the working matrix, and loses its first row and
     column once pivot t is fixed.  It records its row and column
-    operations (swap, add a multiple, negate) instead of carrying u and v;
-    each transform is built from the record the first time it is read
-    (see `SmithDecomposition`) and equals the one an eager elimination
-    would have carried.  Only left kernels read u: `left_kernel_basis`
-    and `symplectic.triple_homology`.  Built transforms grow faster than
-    the block: about 3000 bits for genus 3-7 diagrams built from 40
-    random transvections, and 343k bits for a random 40 x 40 matrix with
-    entries in [-9, 9]; a caller that reads only d never computes them.
+    operations (swap, add a multiple, negate) instead of carrying u and v,
+    and stores d and the two records on the decomposition.  Its u and v
+    are cached properties that replay a record the first time they are
+    read (see `SmithDecomposition`), and equal the transforms an eager
+    elimination would have carried.  Only left kernels read u:
+    `left_kernel_basis` and `symplectic.triple_homology`.  Built
+    transforms grow faster than the block: about 3000 bits for genus 3-7
+    diagrams built from 40 random transvections, and 343k bits for a
+    random 40 x 40 matrix with entries in [-9, 9]; a caller that reads
+    only d never computes them.
 
     Row 0 of the block is the pivot row and the row pass clears column 0
     below the pivot, so during the column pass column 0 is zero off the
@@ -502,9 +501,8 @@ def snf(m: IntMatrix) -> SmithDecomposition:
     d = [[0] * nc for _ in range(nr)]
     for i, p in enumerate(diag):
         d[i][i] = p
-    dec = SmithDecomposition(IntMatrix._of(tuple(map(tuple, d)), nc), None, None)
-    object.__setattr__(dec, "_row_ops", row_ops)
-    object.__setattr__(dec, "_col_ops", col_ops)
+    dec = object.__new__(SmithDecomposition)
+    vars(dec).update(d=IntMatrix._of(tuple(map(tuple, d)), nc), _row_ops=row_ops, _col_ops=col_ops)
     return dec
 
 

@@ -303,8 +303,13 @@ def compare(
     """Bounded equivalence check between two valid diagrams.
 
     First compares invariants ((g, k), signature, first homology; chi =
-    2 + g - 3k is fixed by (g, k)); any mismatch is a definitive
-    DISTINCT verdict.  Equal diagrams are IDENTICAL.  Otherwise a
+    2 + g - 3k is fixed by (g, k)); any mismatch is a DISTINCT verdict.
+    A signature or first-homology mismatch, or a (g, k) mismatch with
+    unequal chi, certifies different manifolds, given that both diagrams
+    are geometric.  A (g, k) mismatch with equal chi certifies only that
+    no slides and surface diffeomorphisms relate the two diagrams: a
+    stabilization changes (g, k) and keeps the manifold.  Equal diagrams
+    are IDENTICAL.  Otherwise a
     breadth-first search over handle slides from d1 looks for d2:
     max_depth bounds the certificate length and max_nodes bounds the
     number of distinct diagrams visited.  Exactly: when d2 is at most

@@ -215,15 +215,19 @@ def triple_homology(q12, q23, q31) -> tuple[tuple[int, ...], int]:
     With d = u @ [q21; q31] @ v in Smith form, d's zeros come last, so the
     rows of u past the rank of d are a basis of the saturated kernel.  Any
     basis gives a congruent Gram matrix, so they are used as they are.
+    The Gram matrix is a product of the package's own matrices, so it goes
+    to `symmetric_signature` as a checked `IntMatrix`, and no entry of it
+    is type-scanned or rescaled as outside input is.
     """
     g = q12.rows
     # looked up on the module, so a wrapper installed there (a tracer, a
     # call counter) sees this call too
     dec = intlin.snf((-q12.transpose()).vstack(q31))
-    kernel = dec.u.entries[dec.rank:]
+    factors = dec.diagonal
+    kernel = dec.u.entries[sum(1 for e in factors if e):]
     gram = _dots(_dots([r[g:] for r in kernel], q23.entries), [r[:g] for r in kernel])
-    n_pos, n_neg, _ = symmetric_signature(gram)
-    return dec.diagonal, n_pos - n_neg
+    n_pos, n_neg, _ = symmetric_signature(IntMatrix._of(gram, len(gram)))
+    return factors, n_pos - n_neg
 
 
 def _as_lagrangian(x) -> LagrangianSublattice:

@@ -158,8 +158,8 @@ def recorded_smith_forms(monkeypatch):
 def built(seen):
     """Shapes of the inputs whose u, and whose v, were built."""
     return (
-        [m.shape for m, dec in seen if dec._u is not None],
-        [m.shape for m, dec in seen if dec._v is not None],
+        [m.shape for m, dec in seen if "u" in vars(dec)],
+        [m.shape for m, dec in seen if "v" in vars(dec)],
     )
 
 

@@ -33,6 +33,7 @@ from trisect import (
     validate,
 )
 from trisect.cli import run, serialize_diagram
+from trisect import intlin
 from trisect.intlin import _hermite, left_kernel_basis
 from trisect.symplectic import triple_homology
 
@@ -183,3 +184,24 @@ def test_invariants_reads_the_kernel_off_u_without_a_checked_build(tmp_path, mon
     with contextlib.redirect_stdout(io.StringIO()):
         assert run(["invariants", str(path)]) == 0
     assert len(builds) == 3
+
+
+def test_invariants_takes_no_lcm_of_its_own_gram(tmp_path, monkeypatch):
+    # the kernel's Gram matrix is the package's own product, so it goes to
+    # symmetric_signature checked, past the lcm that clears a grid's fractions
+    d = connect_sum(builtin("cp2"), builtin("s1xs3"), builtin("s4-g3"))
+    path = tmp_path / "sum.tris"
+    path.write_text(serialize_diagram(d))
+    calls = []
+    original = intlin.lcm
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(intlin, "lcm", counting)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(["invariants", str(path)]) == 0
+    assert calls == []
+    assert "sigma=1\n" in out.getvalue()
