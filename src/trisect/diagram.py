@@ -63,7 +63,7 @@ homological obstruction", not a geometric certificate.  Reports say so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -502,6 +502,23 @@ def direct_sum(*diagrams: TrisectionDiagram) -> TrisectionDiagram:
             ),
         )
     return total
+
+
+def _carry_report(report: ValidationReport, d: TrisectionDiagram) -> None:
+    """Give d the facts of ``report``, the valid report of a diagram whose
+    three systems span d's three lattices.
+
+    Each system of d is then M @ X for a unimodular M and the other
+    diagram's system X, so d has X's factors and isotropy, and each q of
+    d is M_a @ q @ M_b^T, with q's factors.  H_1 and the signature
+    depend only on the three lattices, so d's triple reads the other
+    triple's ``_homology``.  Both are written into the cached_property
+    slots, as ``direct_sum`` writes a sum's report, so d is never
+    validated.
+    """
+    triple = intersection_triple(d)
+    vars(triple)["_homology"] = report.triple._homology
+    vars(d)["_report"] = replace(report, triple=triple)
 
 
 def _block_diagonal(blocks: Sequence[IntMatrix]) -> IntMatrix:

@@ -18,7 +18,11 @@ whatever they present, and so does stabilizing zero times.
 ``connect_sum`` (and ``stabilize``, which calls it) is the one move that
 validates: it validates each input that carries no report yet, once,
 because the sum carries its inputs' reports.  Commands that read facts
-validate where they read them.
+validate where they read them, with one carry: ``compare`` validates
+its first diagram and gives a second diagram of the same genus whose
+three systems span the first's three lattices, every slid image among
+them, the first's report with its own triple, so it validates the
+second only when the lattices differ.
 
 Each move builds its result through ``TrisectionDiagram._from_classes``
 from the result's three class matrices, so a move's output carries no
@@ -62,6 +66,7 @@ from typing import Any, Iterator
 from .diagram import (
     LABELS,
     TrisectionDiagram,
+    _carry_report,
     direct_sum,
     first_homology,
     parameters,
@@ -320,12 +325,21 @@ def compare(
     1, checked before anything else.  The search is deterministic, so
     equal inputs always give equal verdicts.
 
-    Before searching, each system of d2 is solved for the transition
-    matrix M with M @ X1 == X2, X1 being d1's system.  Slides multiply
-    X1 on the left by matrices of determinant 1, so if some system has
-    no integral M, or an M of determinant other than +1, d2 lies outside
-    d1's slide orbit; the search could only run out, and the verdict is
-    UNKNOWN at once.
+    When d1 and d2 differ and have the same genus, d1 is validated
+    first, and before the invariant checks each system of d2 is solved
+    for the transition matrix M with M @ X1 == X2, X1 being d1's system.
+    Then the rows of X2 span a sublattice of X1's of index |det M|.  If
+    every M exists with |det M| = 1, the three lattices are d1's, and so
+    are every fact ``validate`` measures and H_1 and the signature: a
+    system's factors and isotropy are its lattice's, and each q becomes
+    M_a @ q @ M_b^T.  A d2 that carries no report yet then takes d1's,
+    with d2's own triple, whose ``_homology`` is d1's, so it is never
+    validated and its invariants cost no Smith form; a d2 that does not
+    span d1's lattices is validated by the checks as before.  Slides
+    multiply X1 on the left by matrices of determinant 1, so if some
+    system has no integral M, or an M of determinant other than +1, d2
+    lies outside d1's slide orbit; the search could only run out, and
+    the verdict is UNKNOWN once the invariants agree.
 
     A search node is a triple of g x g transition matrices, one per
     system, all three starting at the identity.  This is exact: a slide E
@@ -391,17 +405,21 @@ def compare(
     """
     _require_int(max_depth, "max_depth", 0)
     _require_int(max_nodes, "max_nodes", 1)
+    if d1 != d2 and d1.genus == d2.genus:
+        report = require_valid(d1)  # so each system of d1 is primitive of rank g
+        transitions = [
+            _transition(s.classes, t.classes) for s, t in zip(d1.systems, d2.systems)
+        ]
+        dets = [None if m is None else m.det() for m in transitions]
+        if "_report" not in vars(d2) and all(t in (1, -1) for t in dets):
+            _carry_report(report, d2)  # equal lattices: d1's facts are d2's
     for name, fn in _INVARIANT_CHECKS:  # the first check requires validity
         a, b = fn(d1), fn(d2)
         if a != b:
             return EquivalenceVerdict(DISTINCT, invariant=name, left=a, right=b)
     if d1 == d2:
         return EquivalenceVerdict(IDENTICAL)
-    # validity makes each system of d1 primitive of rank g
-    transitions = [
-        _transition(s.classes, t.classes) for s, t in zip(d1.systems, d2.systems)
-    ]
-    if any(m is None or m.det() != 1 for m in transitions):
+    if any(t != 1 for t in dets):  # equal (g, k): the transitions were solved above
         return EquivalenceVerdict(UNKNOWN)
 
     g = d1.genus

@@ -9,6 +9,10 @@ goal's breadth-first index when it finds the goal.  Then both searches
 run at max_nodes t - 1, t and t + 1, with max_depth one below the word's
 length, the length, or 10**6, so that the node budget alone bounds the
 walk.  A pair matches when every verdict and certificate is equal.
+Each pair is built twice, and ``compare`` runs on the copy the oracle
+never touches, so its first call finds the second diagram without a
+report and gives it the first diagram's; the summary counts the pairs
+that carried it.
 
 A second leg checks generous budgets.  For every pair whose oracle found
 the goal under the cap, ``compare`` also runs at max_depth 10**6 and
@@ -40,34 +44,41 @@ def sweep(pairs: int = 3000, seed: int = 0) -> int:
     """Compare ``pairs`` seeded pairs; print each mismatch and a summary
     per leg, and return the number of mismatches in both legs."""
     rng = random.Random(seed)
-    mismatches = found = generous = 0
+    mismatches = found = generous = carried = 0
     for n in range(pairs):
         genus, length = rng.randint(2, 5), rng.randint(1, 6)
         system = rng.choice((None,) + LABELS)
-        d = _base(rng.randrange(10**6), genus)
-        e = _slide_word(d, random.Random(rng.randrange(10**6)), length, system)
-        if rng.random() < 0.5:
-            d, e = e, d
+        base, word, back = rng.randrange(10**6), rng.randrange(10**6), rng.random() < 0.5
+
+        def pair():
+            d = _base(base, genus)
+            e = _slide_word(d, random.Random(word), length, system)
+            return (e, d) if back else (d, e)
+
+        # compare gets its own objects, none validated yet, so that its
+        # first call finds the second diagram without a report
+        (cd, ce), (d, e) = pair(), pair()
         depth = rng.choice((length - 1, length, 10**6))
         count = []
         capped = oracle_compare(d, e, max_depth=depth, max_nodes=CAP, count=count)
         t = count[0] if count else CAP
         if capped.kind == SLIDE_EQUIVALENT:
             found += 1
-            got = compare(d, e, max_depth=10**6, max_nodes=10**18)
+            got = compare(cd, ce, max_depth=10**6, max_nodes=10**18)
             if got != capped:
                 generous += 1
                 print(f"mismatch: pair {n}, genus {genus}, max_depth 10**6, "
                       f"max_nodes 10**18: {got} against {capped}")
         for nodes in range(max(1, t - 1), t + 2):
-            got = compare(d, e, max_depth=depth, max_nodes=nodes)
+            got = compare(cd, ce, max_depth=depth, max_nodes=nodes)
             want = oracle_compare(d, e, max_depth=depth, max_nodes=nodes)
             if got != want:
                 mismatches += 1
                 print(f"mismatch: pair {n}, genus {genus}, max_depth {depth}, "
                       f"max_nodes {nodes}: {got} against {want}")
                 break
-    print(f"{pairs} pairs, {mismatches} mismatches")
+        carried += ce._report.systems is cd._report.systems
+    print(f"{pairs} pairs, {mismatches} mismatches, {carried} carried the first report")
     print(f"{found} found goals at max_depth 10**6, max_nodes 10**18, {generous} mismatches")
     return mismatches + generous
 
