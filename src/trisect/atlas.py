@@ -70,10 +70,6 @@ def split_diagram(pieces: Sequence[TorusTriple]) -> TrisectionDiagram:
     return direct_sum(*map(torus_diagram, pieces))
 
 
-def _s4_g0() -> TrisectionDiagram:
-    return TrisectionDiagram.from_rows(0, [], [], [])
-
-
 def _cp2() -> TrisectionDiagram:
     return torus_diagram(TorusTriple((1, 0), (0, 1), (1, 1)))
 
@@ -100,7 +96,7 @@ def _s2xs2_g2_model() -> TrisectionDiagram:
 
 
 _CATALOG: dict[str, Callable[[], TrisectionDiagram]] = {
-    "s4-g0": _s4_g0,
+    "s4-g0": direct_sum,
     "s4-g3": stabilization_block,
     "cp2": _cp2,
     "cp2-mirror": _cp2_mirror,

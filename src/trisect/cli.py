@@ -29,7 +29,9 @@ past the index range), 3 comparison budget exhausted (unknown), 141
 (128 + SIGPIPE) the reader of stdout stopped early.  Only validate,
 invariants, compare, sum and stabilize -n >= 1 exit 1 on an invalid
 diagram; slide, diffeo, reverse and stabilize -n 0 print its image, as
-the moves validate nothing.
+the moves validate nothing.  Each command writes its stdout once, after
+it has finished, so a command that fails writes nothing there: it exits
+1 or 2 with its message on stderr.
 """
 
 from __future__ import annotations
@@ -67,10 +69,11 @@ from .moves import (
 )
 
 # a whole row of ASCII integers ([0-9]: \d also matches digits such as '١',
-# which int() accepts); digits and blanks are disjoint, so no backtracking.
-# A token of str.split() holds no blank, so it matches exactly when it is
-# one integer
-_ROW = re.compile(r"[+-]?[0-9]+(?:[ \t]+[+-]?[0-9]+)*\Z")
+# which int() accepts), separated where str.split() separates them: \s is
+# exactly str.isspace().  Digits and whitespace are disjoint, so no
+# backtracking.  A token of str.split() holds no whitespace, so it matches
+# exactly when it is one integer
+_ROW = re.compile(r"[+-]?[0-9]+(?:\s+[+-]?[0-9]+)*\Z")
 # a tuple of ints printed by str, less these, is its entries single-spaced
 _PLAIN = str.maketrans("", "", "(),")
 
@@ -86,7 +89,7 @@ class DiagramParseError(ValueError):
 def _int_row(content: str, tokens: Sequence[str], number: int) -> tuple[int, ...]:
     """The integers of one line, ``tokens`` being ``content.split()``; a
     parse error on a bad or overlong token."""
-    if not _ROW.match(content):  # other whitespace, or a bad token to name
+    if not _ROW.match(content):  # then some token is bad: name the first
         for tok in tokens:
             if not _ROW.match(tok):
                 raise DiagramParseError(f"invalid integer {tok!r}", number)
@@ -202,45 +205,42 @@ def _fmt_move(move: SlideMove) -> str:
     )
 
 
-def _emit(d: TrisectionDiagram) -> int:
-    """Print d in the canonical file format, and return exit code 0."""
-    print(serialize_diagram(d), end="")  # print skips a None sys.stdout (fd 1 closed)
-    return 0
+def _text(*lines: str) -> str:
+    return "".join(f"{line}\n" for line in lines)
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> tuple[int, str]:
     report = validate(_load_diagram(args.file))
-    for line in report.lines():
-        print(line)
-    return 0 if report.valid else 1
+    return (0 if report.valid else 1), _text(*report.lines())
 
 
-def _cmd_invariants(args) -> int:
+def _cmd_invariants(args) -> tuple[int, str]:
     d = _load_diagram(args.file)
     report = require_valid(d)
-    print(f"g={d.genus}")
-    print(f"k={report.k}")
-    print(f"chi={report.euler}")
-    print(f"sigma={signature(d)}")
-    print(f"H1={first_homology(d)}")
-    print(f"handles={','.join(map(str, handle_counts(d)))}")
     triple = report.triple
-    print(f"Q_alpha_beta={_fmt_matrix(triple.q_ab)}")
-    print(f"Q_beta_gamma={_fmt_matrix(triple.q_bc)}")
-    print(f"Q_gamma_alpha={_fmt_matrix(triple.q_ca)}")
-    return 0
+    return 0, _text(
+        f"g={d.genus}",
+        f"k={report.k}",
+        f"chi={report.euler}",
+        f"sigma={signature(d)}",
+        f"H1={first_homology(d)}",
+        f"handles={','.join(map(str, handle_counts(d)))}",
+        f"Q_alpha_beta={_fmt_matrix(triple.q_ab)}",
+        f"Q_beta_gamma={_fmt_matrix(triple.q_bc)}",
+        f"Q_gamma_alpha={_fmt_matrix(triple.q_ca)}",
+    )
 
 
-def _cmd_stabilize(args) -> int:
+def _cmd_stabilize(args) -> tuple[int, str]:
     d = _load_diagram(args.file)
     if args.n < 0:
         raise ValueError("-n must be nonnegative")
     if args.n:  # -n 0 prints the input unvalidated
         d = connect_sum(d, *[stabilization_block()] * args.n)
-    return _emit(d)
+    return 0, serialize_diagram(d)
 
 
-def _cmd_slide(args) -> int:
+def _cmd_slide(args) -> tuple[int, str]:
     d = _load_diagram(args.file)
     if args.target < 1 or args.source < 1:
         raise ValueError("curve indices are 1-based")
@@ -250,66 +250,56 @@ def _cmd_slide(args) -> int:
         source=args.source - 1,
         sign=1 if args.sign == "+" else -1,
     )
-    return _emit(handle_slide(d, move))
+    return 0, serialize_diagram(handle_slide(d, move))
 
 
-def _cmd_diffeo(args) -> int:
+def _cmd_diffeo(args) -> tuple[int, str]:
     d = _load_diagram(args.file)
     s = parse_int_matrix(_read(args.matrix))
-    return _emit(apply_diffeomorphism(d, s))
+    return 0, serialize_diagram(apply_diffeomorphism(d, s))
 
 
-def _cmd_sum(args) -> int:
+def _cmd_sum(args) -> tuple[int, str]:
     d1 = _load_diagram(args.file1)
     d2 = _load_diagram(args.file2)
-    return _emit(connect_sum(d1, d2))
+    return 0, serialize_diagram(connect_sum(d1, d2))
 
 
-def _cmd_reverse(args) -> int:
-    return _emit(reverse_orientation(_load_diagram(args.file)))
+def _cmd_reverse(args) -> tuple[int, str]:
+    return 0, serialize_diagram(reverse_orientation(_load_diagram(args.file)))
 
 
-def _cmd_example(args) -> int:
-    return _emit(builtin(args.name))
+def _cmd_example(args) -> tuple[int, str]:
+    return 0, serialize_diagram(builtin(args.name))
 
 
-def _cmd_examples(args) -> int:
-    for name in builtin_names():
-        print(name)
-    return 0
+def _cmd_examples(args) -> tuple[int, str]:
+    return 0, _text(*builtin_names())
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> tuple[int, str]:
     d1 = _load_diagram(args.file1)
     d2 = _load_diagram(args.file2)
     if args.depth < 0 or args.nodes < 1:
         raise ValueError("--depth must be >= 0 and --nodes >= 1")
     verdict = compare(d1, d2, max_depth=args.depth, max_nodes=args.nodes)
     if verdict.kind == IDENTICAL:
-        print("identical")
-        return 0
+        return 0, _text("identical")
     if verdict.kind == SLIDE_EQUIVALENT:
-        print(f"slide-equivalent ({len(verdict.certificate)} moves)")
-        for move in verdict.certificate:
-            print(_fmt_move(move))
-        return 0
+        cert = verdict.certificate
+        return 0, _text(f"slide-equivalent ({len(cert)} moves)", *map(_fmt_move, cert))
     if verdict.kind == DISTINCT:
-        print(
-            f"distinct-by-invariant: {verdict.invariant} "
-            f"({verdict.left} vs {verdict.right})"
-        )
-        return 1
-    print("unknown (search budget exhausted; no conclusion)")
-    return 3
+        facts = f"{verdict.invariant} ({verdict.left} vs {verdict.right})"
+        return 1, _text(f"distinct-by-invariant: {facts}")
+    return 3, _text("unknown (search budget exhausted; no conclusion)")
 
 
-def _cmd_params(args) -> int:
+def _cmd_params(args) -> tuple[int, str]:
     if args.family == "fiber-s1":
         p = mapping_torus_params(args.genus)
     else:
         p = bundle_over_s2_params(args.fiber_genus)
-    print(f"g={p.genus} k={p.k} chi={p.chi}")
-    return 0
+    return 0, _text(f"g={p.genus} k={p.k} chi={p.chi}")
 
 
 @functools.cache  # built on the first run(); parse_args keeps no state between calls
@@ -382,14 +372,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    """Parse arguments, execute, and return the exit code."""
+    """Parse arguments, execute, and return the exit code.
+
+    The command builds its whole stdout text first, and run writes it
+    once, after the command has finished, so a command that fails writes
+    nothing on stdout: only its message on stderr."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code, out = args.func(args)
+        print(out, end="")  # print skips a None sys.stdout (fd 1 closed)
+        return code
     except DiagramParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

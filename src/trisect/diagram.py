@@ -514,8 +514,10 @@ def _carry_report(report: ValidationReport, d: TrisectionDiagram) -> None:
     depend only on the three lattices, so d's triple reads the other
     triple's ``_homology``.  Both are written into the cached_property
     slots, as ``direct_sum`` writes a sum's report, so d is never
-    validated.
+    validated.  A d that already carries a report keeps it.
     """
+    if "_report" in vars(d):
+        return
     triple = intersection_triple(d)
     vars(triple)["_homology"] = report.triple._homology
     vars(d)["_report"] = replace(report, triple=triple)

@@ -411,7 +411,7 @@ def compare(
             _transition(s.classes, t.classes) for s, t in zip(d1.systems, d2.systems)
         ]
         dets = [None if m is None else m.det() for m in transitions]
-        if "_report" not in vars(d2) and all(t in (1, -1) for t in dets):
+        if all(t in (1, -1) for t in dets):
             _carry_report(report, d2)  # equal lattices: d1's facts are d2's
     for name, fn in _INVARIANT_CHECKS:  # the first check requires validity
         a, b = fn(d1), fn(d2)

@@ -6,7 +6,7 @@ corpus was written.  ``test_cli_outputs.py`` checks the corpus under
 pytest; this module holds what that test and a replay without pytest
 share, so that the corpus can be checked on any Python the package
 supports.  Run as a script to replay every case in-process and report
-each mismatch:
+each mismatch, with which of exit code, stdout and stderr differ:
 
     PYTHONPATH=src python tests/cli_corpus.py
     PYTHONPATH=src python -O tests/cli_corpus.py
@@ -26,6 +26,8 @@ from pathlib import Path
 from trisect.cli import run
 
 DATA = Path(__file__).resolve().parent / "data" / "cli_outputs.json"
+# what run_case returns, in its order
+PARTS = ("exit code", "stdout", "stderr")
 
 
 def run_case(argv, inputs, workdir):
@@ -61,10 +63,12 @@ def replay() -> int:
         write_inputs(corpus["inputs"], workdir)
         for case in corpus["cases"]:
             got = run_case(case["argv"], corpus["inputs"], workdir)
-            if got != (case["code"], case["stdout"], case["stderr"]):
+            stored = (case["code"], case["stdout"], case["stderr"])
+            if got != stored:
                 mismatches += 1
-                print(f"mismatch: {' '.join(case['argv'])}: exit {got[0]}, "
-                      f"stored {case['code']}")
+                differ = [part for part, a, b in zip(PARTS, got, stored) if a != b]
+                print(f"mismatch: {' '.join(case['argv'])}: differs in {', '.join(differ)}; "
+                      f"exit {got[0]}, stored {case['code']}")
     print(f"Python {platform.python_version()} optimize={sys.flags.optimize}: "
           f"{len(corpus['cases'])} cases, {mismatches} mismatches")
     return mismatches
