@@ -88,15 +88,20 @@ class DiagramParseError(ValueError):
 
 def _int_row(content: str, tokens: Sequence[str], number: int) -> tuple[int, ...]:
     """The integers of one line, ``tokens`` being ``content.split()``; a
-    parse error on a bad or overlong token."""
-    if not _ROW.match(content):  # then some token is bad: name the first
-        for tok in tokens:
-            if not _ROW.match(tok):
-                raise DiagramParseError(f"invalid integer {tok!r}", number)
-    try:
-        return tuple(map(int, tokens))
-    except ValueError:  # past sys.get_int_max_str_digits()
-        raise DiagramParseError("integer has too many digits", number) from None
+    parse error on a bad or overlong token.
+
+    On an ASCII line without '_', int accepts a token exactly when `_ROW`
+    does, or raises ValueError, so such a line skips the match: a bad
+    token surfaces as int's ValueError and is named below."""
+    if (content.isascii() and "_" not in content) or _ROW.match(content):
+        try:
+            return tuple(map(int, tokens))
+        except ValueError:  # a bad token, or one past sys.get_int_max_str_digits()
+            pass
+    for tok in tokens:  # name the first bad token
+        if not _ROW.match(tok):
+            raise DiagramParseError(f"invalid integer {tok!r}", number)
+    raise DiagramParseError("integer has too many digits", number)
 
 
 def _logical_lines(text: str) -> list[tuple[int, str]]:

@@ -28,7 +28,9 @@ and cached on the triple of its report.
 
 Every pairing ``validate`` reads comes from one exact product, the 3g x
 3g Gram matrix G = S @ J @ S^T of the stacked classes S = [alpha; beta;
-gamma], so G[i][j] = omega(s_i, s_j).  Its off-diagonal blocks (1, 2),
+gamma], so G[i][j] = omega(s_i, s_j).  G is antisymmetric: for S = [X |
+Y] it is P - P^T with P = X @ Y^T, a product of inner length g that
+`pairing_matrix` forms.  Its off-diagonal blocks (1, 2),
 (2, 3) and (3, 1) are q_ab, q_bc and q_ca; the upper triangle of a
 diagonal block holds a system's self-pairings, which isotropy asks to
 vanish; and the rows of G for two systems are the pairings of their
@@ -386,7 +388,8 @@ def validate(d: TrisectionDiagram) -> ValidationReport:
     """Measure every homological check and return the report of the facts.
 
     Every pairing is read off one product, the Gram matrix G of the
-    stacked classes (`_gram`): the triple is its off-diagonal blocks, a
+    stacked classes (`_gram`), formed as P - P^T from one product P of
+    inner length g: the triple is its off-diagonal blocks, a
     system's first non-isotropic pair is the first nonzero entry of its
     diagonal block's upper triangle, found by the scan that
     `first_nonisotropic` runs, and a pair of failing systems is
@@ -422,7 +425,9 @@ def validate(d: TrisectionDiagram) -> ValidationReport:
 
 def _gram(d: TrisectionDiagram) -> tuple[tuple[int, ...], ...]:
     """G = S @ J @ S^T for the stacked 3g x 2g classes S = [alpha; beta;
-    gamma], as one `pairing_matrix` product: G[i][j] = omega(s_i, s_j)."""
+    gamma], as one `pairing_matrix` product: G[i][j] = omega(s_i, s_j).
+    S is paired with itself, so G is P - P^T for the 3g x 3g product P =
+    X @ Y^T of S = [X | Y], whose inner length is g."""
     s = IntMatrix._of(sum((c.classes.entries for c in d.systems), ()), 2 * d.genus)
     return pairing_matrix(s, s).entries
 

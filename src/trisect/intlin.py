@@ -11,9 +11,10 @@ into one integer of slots (Kronecker substitution), so each row of the
 product is a single sum of products of a small int and a big one, read
 back slot by slot.  The operands' bound alone picks the slots: if no
 entry of the product can reach 2**63 in magnitude (the exact bound is
-length * max|a| * max|b|), they are 64-bit words read through array('q')
-(`_packed_dots`); otherwise they are as many whole bytes as the bound
-needs, read through int.from_bytes (`_wide_dots`).  Both are exact.
+length * max|a| * max|b|), they are the narrowest signed array slots of
+16, 32 or 64 bits that hold the bound (`_packed_dots`); otherwise they
+are as many whole bytes as the bound needs, read through int.from_bytes
+(`_wide_dots`).  Both are exact.
 
 Fraction-free elimination takes its steps through `_bareiss`, which
 `IntMatrix.det` and `symmetric_signature` share.
@@ -37,9 +38,12 @@ from math import lcm
 from operator import add, mul, neg, sub
 from typing import Iterable, Sequence, Union
 
-# 64-bit slots are packed and read back through array('q'), which needs
-# little-endian 8-byte items; elsewhere products take `_wide_dots`.
+# packed slots are written and read back through signed arrays, which
+# need little-endian items and an 8-byte 'q'; elsewhere products take
+# `_wide_dots`.
 _WORD_ARRAY = array("q").itemsize == 8 and sys.byteorder == "little"
+# (bytes, typecode) of the signed array slots of 16, 32 and 64 bits, narrowest first
+_SLOTS = sorted({array(c).itemsize: c for c in "qih"}.items())
 
 
 def _require_int(value, what: str, least: int | None = None) -> None:
@@ -103,7 +107,7 @@ class IntMatrix:
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         _require_int(n, "size", 0)
-        return cls([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
+        return cls._of(tuple(map(tuple, _identity(n))), n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
@@ -201,6 +205,15 @@ class IntMatrix:
         return sign * a[n - 1][n - 1]
 
 
+def _identity(n: int) -> list[list[int]]:
+    """The n x n identity as rows to be changed in place: rows of zeros
+    with a single 1 set in each."""
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
+
+
 def _bareiss(grid: list[list[int]], p: int, rest: Sequence[int], prev: int) -> None:
     """One fraction-free elimination step on pivot grid[p][p], in place:
     every grid[i][j] with i and j in ``rest`` (which holds neither p nor
@@ -220,8 +233,8 @@ def _dots(
     """Every dot product: row i, column j is a_rows[i] . b_rows[j].
 
     The rows all have one length.  Every product, whatever its size, is
-    `_packed_dots` where the operands' `_bound` fits a 64-bit slot and
-    `_wide_dots` where it does not.
+    `_packed_dots` where the operands' `_bound` fits a signed slot of 16,
+    32 or 64 bits and `_wide_dots` where it does not.
     """
     bound = _bound(a_rows, b_rows)
     dots = _packed_dots(a_rows, b_rows, bound)
@@ -241,19 +254,21 @@ def _packed_dots(
     a_rows: Sequence[Sequence[int]], b_rows: Sequence[Sequence[int]], bound: int | None = None
 ) -> tuple[tuple[int, ...], ...] | None:
     """`_dots` by Kronecker substitution, or None where it does not apply:
-    some entry could reach 2**63 in magnitude, or array('q') is not
-    little-endian 8-byte words.  ``bound`` is `_bound` of the operands,
-    computed here if the caller has not.
+    some entry could reach 2**63 in magnitude, or there is no word array
+    (`_WORD_ARRAY`).  ``bound`` is `_bound` of the operands, computed here
+    if the caller has not.
 
+    A slot is w bits, the narrowest of the signed array slots of 16, 32
+    and 64 bits with bound < 2**(w-1), so every entry of b and of the
+    product is at most length * max|a| * max|b| < 2**(w-1) in magnitude.
     Coordinate l of all the b rows is packed into one integer,
-    sum_j b_rows[j][l] * 2**(64 * j).  Every entry of the product is at
-    most length * max|a| * max|b| < 2**63 in magnitude, so row i of the
-    product, sum_l a_rows[i][l] * packed[l], holds entry j in slot j, and
-    no slot overflows into the next.  Adding 2**63 to every slot makes
-    each one nonnegative without carries; flipping the same bits back
-    leaves each slot's two's complement, which array('q') reads.  Packing
-    is the reverse: the entries' two's complements, read as one integer
-    with each slot's top bit flipped, less 2**63 per slot.
+    sum_j b_rows[j][l] * 2**(w * j), so row i of the product, sum_l
+    a_rows[i][l] * packed[l], holds entry j in slot j, and no slot
+    overflows into the next.  Adding 2**(w-1) to every slot makes each
+    one nonnegative without carries; flipping the same bits back leaves
+    each slot's two's complement, which the array reads.  Packing is the
+    reverse: the entries' two's complements, read as one integer with
+    each slot's top bit flipped, less 2**(w-1) per slot.
     """
     n = len(b_rows)
     if bound is None:
@@ -262,12 +277,13 @@ def _packed_dots(
         return ((0,) * n,) * len(a_rows)
     if bound >> 63 or not _WORD_ARRAY:
         return None
-    bias = int.from_bytes((bytes(7) + b"\x80") * n, "little")  # 2**63 in every slot
+    size, code = next(slot for slot in _SLOTS if not bound >> (8 * slot[0] - 1))
+    bias = int.from_bytes((bytes(size - 1) + b"\x80") * n, "little")  # 2**(w-1) in every slot
     packed = [
-        (int.from_bytes(array("q", col).tobytes(), "little") ^ bias) - bias for col in zip(*b_rows)
+        (int.from_bytes(array(code, col).tobytes(), "little") ^ bias) - bias for col in zip(*b_rows)
     ]
     return tuple(
-        tuple(array("q", ((sum(map(mul, a, packed)) + bias) ^ bias).to_bytes(8 * n, "little")))
+        tuple(array(code, ((sum(map(mul, a, packed)) + bias) ^ bias).to_bytes(size * n, "little")))
         for a in a_rows
     )
 
@@ -359,7 +375,7 @@ def _replay(n: int, ops: list) -> tuple[tuple[int, ...], ...]:
     ("swap", i, j), ("add", i, j, q) for row_i += q * row_j, ("neg", i),
     and ("clear", i, (c_1, c_2, ...)), which stands for ("add", i + k, i,
     -c_k) for each nonzero c_k in turn."""
-    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    rows = _identity(n)
     for op in ops:
         kind, i = op[0], op[1]
         if kind == "add":

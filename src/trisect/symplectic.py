@@ -15,13 +15,13 @@ has index +1, which normalizes the sign for the whole package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from operator import mul, sub
 from typing import Iterable, Sequence
 
 import random
 
 from . import intlin
-from .intlin import IntMatrix, _dots, _require_int, is_primitive, symmetric_signature
+from .intlin import IntMatrix, _dots, _identity, _require_int, is_primitive, symmetric_signature
 
 
 @dataclass(frozen=True)
@@ -162,7 +162,11 @@ def pairing_matrix(left, right) -> IntMatrix:
     """Matrix of omega between two row families: entry (i,j) = omega(l_i, r_j).
 
     Accepts LagrangianSublattice or plain IntMatrix arguments; the two
-    must share an ambient lattice.
+    must share an ambient lattice.  Two families pair as a @ J @ b^T,
+    one product of inner length 2g.  A family paired with itself, s =
+    [X | Y], gives the antisymmetric P - P^T for P = X @ Y^T, since
+    omega(s_i, s_j) = x_i . y_j - y_i . x_j: one product of inner length
+    g, half the work.
     """
     a = _rows_of(left)
     b = _rows_of(right)
@@ -170,6 +174,10 @@ def pairing_matrix(left, right) -> IntMatrix:
         raise ValueError("ambient genus mismatch")
     if a.cols % 2:
         raise ValueError("ambient rank must be even")
+    if a is b:
+        g = a.cols // 2
+        p = _dots([r[:g] for r in a.entries], [r[g:] for r in a.entries])
+        return IntMatrix._of(tuple(tuple(map(sub, r, c)) for r, c in zip(p, zip(*p))), a.rows)
     return IntMatrix._of(_dots(a.entries, [_dual(v) for v in b.entries]), b.rows)
 
 
@@ -255,7 +263,7 @@ def random_symplectic(genus: int, seed: int, count: int) -> IntMatrix:
     if genus == 0:
         return IntMatrix.identity(0)
     rng = random.Random(seed)
-    rows = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    rows = _identity(dim)
     for _ in range(count):
         u = [rng.randrange(-1, 2) for _ in range(dim)]
         if all(e == 0 for e in u):
