@@ -552,8 +552,13 @@ def left_kernel_basis(m: IntMatrix) -> IntMatrix:
 
 
 def _hermite(rows: Sequence[Sequence[int]], ncols: int) -> IntMatrix:
-    """Row Hermite normal form of independent rows: positive pivots in
-    staircase position, entries above each pivot reduced into [0, pivot)."""
+    """Row Hermite normal form of the lattice the rows span: positive
+    pivots in staircase position, entries above each pivot reduced into
+    [0, pivot).
+
+    The rows may be dependent, with zeros and repeats among them: zero
+    rows drop out, so the result has one row per unit of rank.
+    ``moves._transition`` passes the 2g columns of two rank-g matrices."""
     work = [list(r) for r in rows]
     nr = len(work)
     pr = 0

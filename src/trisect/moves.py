@@ -19,10 +19,11 @@ whatever they present, and so does stabilizing zero times.
 validates: it validates each input that carries no report yet, once,
 because the sum carries its inputs' reports.  Commands that read facts
 validate where they read them, with one carry: ``compare`` validates
-its first diagram and gives a second diagram of the same genus whose
-three systems span the first's three lattices, every slid image among
-them, the first's report with its own triple, so it validates the
-second only when the lattices differ.
+its first diagram, answers an equal second diagram at once, and gives
+any other second diagram of the same genus whose three systems span the
+first's three lattices, every slid image among them, the first's report
+with its own triple, so it validates the second only when the lattices
+differ.
 
 Each move builds its result through ``TrisectionDiagram._from_classes``
 from the result's three class matrices, so a move's output carries no
@@ -307,14 +308,17 @@ def compare(
 ) -> EquivalenceVerdict:
     """Bounded equivalence check between two valid diagrams.
 
-    First compares invariants ((g, k), signature, first homology; chi =
+    After the budget checks d1 is validated, and equal diagrams are
+    IDENTICAL at once, before the invariant checks and the
+    lattice test below: equal classes share every fact ``validate``
+    measures, so d2 is not validated and takes no report.  Otherwise
+    compares invariants ((g, k), signature, first homology; chi =
     2 + g - 3k is fixed by (g, k)); any mismatch is a DISTINCT verdict.
     A signature or first-homology mismatch, or a (g, k) mismatch with
     unequal chi, certifies different manifolds, given that both diagrams
     are geometric.  A (g, k) mismatch with equal chi certifies only that
     no slides and surface diffeomorphisms relate the two diagrams: a
-    stabilization changes (g, k) and keeps the manifold.  Equal diagrams
-    are IDENTICAL.  Otherwise a
+    stabilization changes (g, k) and keeps the manifold.  Otherwise a
     breadth-first search over handle slides from d1 looks for d2:
     max_depth bounds the certificate length and max_nodes bounds the
     number of distinct diagrams visited.  Exactly: when d2 is at most
@@ -325,8 +329,8 @@ def compare(
     1, checked before anything else.  The search is deterministic, so
     equal inputs always give equal verdicts.
 
-    When d1 and d2 differ and have the same genus, d1 is validated
-    first, and before the invariant checks each system of d2 is solved
+    When d1 and d2 differ and have the same genus, before the invariant
+    checks each system of d2 is solved
     for the transition matrix M with M @ X1 == X2, X1 being d1's system.
     Then the rows of X2 span a sublattice of X1's of index |det M|.  If
     every M exists with |det M| = 1, the three lattices are d1's, and so
@@ -405,8 +409,10 @@ def compare(
     """
     _require_int(max_depth, "max_depth", 0)
     _require_int(max_nodes, "max_nodes", 1)
-    if d1 != d2 and d1.genus == d2.genus:
-        report = require_valid(d1)  # so each system of d1 is primitive of rank g
+    report = require_valid(d1)  # so each system of d1 is primitive of rank g
+    if d1 == d2:  # equal classes: every fact validate measures is d1's
+        return EquivalenceVerdict(IDENTICAL)
+    if d1.genus == d2.genus:
         transitions = [
             _transition(s.classes, t.classes) for s, t in zip(d1.systems, d2.systems)
         ]
@@ -417,8 +423,6 @@ def compare(
         a, b = fn(d1), fn(d2)
         if a != b:
             return EquivalenceVerdict(DISTINCT, invariant=name, left=a, right=b)
-    if d1 == d2:
-        return EquivalenceVerdict(IDENTICAL)
     if any(t != 1 for t in dets):  # equal (g, k): the transitions were solved above
         return EquivalenceVerdict(UNKNOWN)
 

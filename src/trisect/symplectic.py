@@ -80,6 +80,13 @@ def is_lagrangian(basis: IntMatrix) -> bool:
     ``basis`` must be g x 2g.  True iff the rows are a primitive system
     of rank g (a basis of a saturated sublattice) and pairwise
     omega-orthogonal.
+
+    It reduces the raw classes through ``is_primitive``, whose Smith form
+    is not widened as ``validate``'s is, so on dense classes it costs
+    more than validating a whole diagram: three calls on the systems of
+    a diagram with 50-bit entries at g = 7 took about 4 ms, and with
+    87-bit entries at g = 12 about 15 ms, against 0.8 and 2.3 ms for its
+    ``validate`` (Python 3.11.7, 2-vCPU host).
     """
     if basis.cols % 2:
         raise ValueError("ambient rank must be even")
@@ -126,7 +133,9 @@ class LagrangianSublattice:
     """A Lagrangian direct summand of Z^(2g), recorded by a basis.
 
     ``basis`` is g x 2g; construction fails unless the rows really are a
-    primitive isotropic system of full rank.
+    primitive isotropic system of full rank.  Construction runs
+    ``is_lagrangian``, so it reduces the raw basis, which is slow on
+    dense bases (see there).
     """
 
     genus: int
@@ -201,7 +210,9 @@ def maslov_index(l1, l2, l3) -> int:
     bases (which are then checked).  The index is the signature of the
     symmetric form psi((a,b,c), (a',b',c')) = omega(a, b') on the lattice
     w = {(a,b,c) : a + b + c = 0}; it is read off the pairing matrices by
-    `triple_homology`.
+    `triple_homology`.  IntMatrix arguments are checked by
+    ``is_lagrangian``, which reduces the raw bases and is slow on dense
+    ones (see there).
     """
     a, b, c = (_as_lagrangian(x) for x in (l1, l2, l3))
     return triple_homology(pairing_matrix(a, b), pairing_matrix(b, c), pairing_matrix(c, a))[1]

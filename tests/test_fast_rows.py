@@ -1,9 +1,11 @@
 """The parser's one-match row path and the printer's one-``translate`` file
 path, each against the per-token and per-row code they replace.
 
-A row line that matches one full-line pattern of ASCII integers and
-blanks is converted with ``map(int, ...)``; any other line takes the
-per-token loop, so its messages and line numbers are those of the loop.
+Every ASCII row line without ``_`` goes to ``map(int, ...)`` first, as
+does any other line that matches one full-line pattern of ASCII integers
+and blanks; a line that ``int`` rejects, or that neither admits, takes
+the per-token loop, so its messages and line numbers are those of the
+loop.
 A printed row is its tuple's ``str`` with ``(``, ``)`` and ``,`` deleted.
 The oracles below are copies of the code before either fast path.
 """

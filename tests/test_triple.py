@@ -236,4 +236,4 @@ def test_compare_validates_each_input_once(monkeypatch):
     assert d1 == d2 and d1 is not d2
     calls = _count_validations(monkeypatch)
     assert compare(d1, d2).kind == trisect.IDENTICAL
-    assert len(calls) == 2
+    assert len(calls) == 1
