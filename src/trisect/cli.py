@@ -74,8 +74,6 @@ from .moves import (
 # backtracking.  A token of str.split() holds no whitespace, so it matches
 # exactly when it is one integer
 _ROW = re.compile(r"[+-]?[0-9]+(?:\s+[+-]?[0-9]+)*\Z")
-# a tuple of ints printed by str, less these, is its entries single-spaced
-_PLAIN = str.maketrans("", "", "(),")
 
 
 class DiagramParseError(ValueError):
@@ -166,12 +164,21 @@ def parse_diagram(text: str) -> TrisectionDiagram:
     return TrisectionDiagram.from_rows(g, *systems)
 
 
+def _row_format(width: int) -> str:
+    """The format that prints a row of ``width`` exact ints single-spaced:
+    ``%d`` writes what str writes, and raises str's ValueError past
+    sys.get_int_max_str_digits()."""
+    return " ".join(["%d"] * width)
+
+
 def serialize_diagram(d: TrisectionDiagram) -> str:
     """Canonical text form; parse_diagram(serialize_diagram(d)) == d."""
+    fmt = _row_format(2 * d.genus)
     lines = ["tris v1", f"genus {d.genus}"]
     for sys_ in d.systems:
-        lines += [sys_.label, *map(str, sys_.classes.entries)]
-    return "\n".join(lines).translate(_PLAIN) + "\n"
+        lines.append(sys_.label)
+        lines += [fmt % row for row in sys_.classes.entries]
+    return "\n".join(lines) + "\n"
 
 
 def parse_int_matrix(text: str) -> IntMatrix:
@@ -199,7 +206,8 @@ def _load_diagram(path: str) -> TrisectionDiagram:
 
 
 def _fmt_matrix(m: IntMatrix) -> str:
-    return "[" + "; ".join(map(str, m.entries)).translate(_PLAIN) + "]"
+    fmt = _row_format(m.cols)
+    return "[" + "; ".join([fmt % row for row in m.entries]) + "]"
 
 
 def _fmt_move(move: SlideMove) -> str:

@@ -480,14 +480,17 @@ def direct_sum(*diagrams: TrisectionDiagram) -> TrisectionDiagram:
     when first needed.
     """
     g = sum(d.genus for d in diagrams)
+    zero = [0] * (2 * g)
 
     def embed(label: str) -> IntMatrix:
         rows, before = [], 0
         for d in diagrams:
             h = d.genus
-            pad, post = (0,) * before, (0,) * (g - before - h)
             for r in d.system(label).classes.entries:
-                rows.append(pad + r[:h] + post + pad + r[h:] + post)
+                row = zero.copy()
+                row[before : before + h] = r[:h]
+                row[g + before : g + before + h] = r[h:]
+                rows.append(tuple(row))
             before += h
         return IntMatrix._of(tuple(rows), 2 * g)
 

@@ -603,8 +603,8 @@ def symmetric_signature(s: IntMatrix | Sequence[Sequence[Rational]]) -> tuple[in
     s[i][j] is nonzero, the congruence v_i += v_j makes the diagonal entry
     2b nonzero (a congruence on the active indices keeps the divisions
     exact), and the hyperbolic plane then splits off as one positive and
-    one negative square.  All-zero remainder counts as n_zero.  No
-    floating point is involved.
+    one negative square.  All-zero rows, found before eliminating, and an
+    all-zero remainder count as n_zero.  No floating point is involved.
     """
     if isinstance(s, IntMatrix):
         grid = [list(r) for r in s.entries]
@@ -623,9 +623,12 @@ def symmetric_signature(s: IntMatrix | Sequence[Sequence[Rational]]) -> tuple[in
             if grid[i][j] != grid[j][i]:
                 raise ValueError("form matrix must be symmetric")
 
-    n_pos = n_neg = n_zero = 0
+    # a zero row of a symmetric form is a zero column too, so a radical
+    # vector: it is counted here and never enters an elimination step
+    active = [i for i in range(n) if any(grid[i])]
+    n_pos = n_neg = 0
+    n_zero = n - len(active)
     prev = 1
-    active = list(range(n))
     while active:
         p = next((i for i in active if grid[i][i] != 0), None)
         if p is None:

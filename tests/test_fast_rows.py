@@ -1,12 +1,13 @@
-"""The parser's one-match row path and the printer's one-``translate`` file
-path, each against the per-token and per-row code they replace.
+"""The parser's one-match row path and the printer's one-format rows,
+each against the per-token and per-row code they replace.
 
 Every ASCII row line without ``_`` goes to ``map(int, ...)`` first, as
 does any other line that matches one full-line pattern of ASCII integers
 and blanks; a line that ``int`` rejects, or that neither admits, takes
 the per-token loop, so its messages and line numbers are those of the
 loop.
-A printed row is its tuple's ``str`` with ``(``, ``)`` and ``,`` deleted.
+A printed row is one ``%d`` format of the row's width applied to its
+tuple, which writes each entry as ``str`` does, single-spaced.
 The oracles below are copies of the code before either fast path.
 """
 
@@ -21,6 +22,7 @@ from trisect.cli import (
     DiagramParseError,
     _fmt_matrix,
     _int_row,
+    _row_format,
     parse_diagram,
     serialize_diagram,
 )
@@ -137,6 +139,7 @@ ENTRIES = st.one_of(
 @given(st.lists(ENTRIES, max_size=12).map(tuple))
 def test_a_translated_tuple_is_the_joined_row(row):
     assert str(row).translate(str.maketrans("", "", "(),")) == " ".join(map(str, row))
+    assert _row_format(len(row)) % row == " ".join(map(str, row))
 
 
 def row_lists(rows, cols):

@@ -57,6 +57,19 @@ def test_huge_entry_in_matrix_file_is_a_line_numbered_parse_error(tmp_path, digi
     assert err.startswith("parse error: line 3: ")
 
 
+def test_a_slid_row_past_the_digit_limit_is_an_error_with_no_stdout(tmp_path, digit_limit):
+    # entries of exactly the limit's length parse, and their sum has one
+    # digit more, so the slid row cannot be printed
+    big = "9" * sys.get_int_max_str_digits()
+    path = tmp_path / "d.tris"
+    rows = f"{big} 0 0 0\n{big} 0 0 0\n"
+    path.write_text(f"tris v1\ngenus 2\nalpha\n{rows}beta\n{rows}gamma\n{rows}")
+    move = ["--system", "alpha", "--target", "1", "--source", "2", "--sign", "+"]
+    code, out, err = cli("slide", str(path), *move)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: Exceeds the limit") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("count", [str(2**63), "100000000000000000000"])
 def test_stabilization_count_past_the_index_range_is_a_usage_error(tmp_path, count):
     # only counts of at least 2**63: the list of blocks fails before it is
