@@ -55,6 +55,13 @@ as one int, its entries in signed slots of a width the budgets bound,
 so a slide is one integer addition and a state hashes g ints.  The
 width is one closed form that grows with log2 of the node budget, so a
 generous budget costs what the nodes it lets the search visit cost.
+When every node within max_depth slides fits the node budget, no budget
+check can fire and the verdict depends on max_depth alone; the search
+then skips the product walk, grows the shared tree a layer at a time,
+and places each system's goal one layer short of it, by the goal's own
+slides: the tree parent is the slid goal of the smallest id in the last
+layer.  ``compare``'s docstring shows that those slides need no wider
+slot.
 """
 
 from __future__ import annotations
@@ -403,6 +410,37 @@ def compare(
     most 2^(b - 2), so the verdict is UNKNOWN at once, as for a goal
     outside the slide orbit; every other goal packs.
 
+    The budget checks, ``seen + own + later`` and ``seen + pos``, count
+    only nodes within max_depth slides, and product layer l holds at most
+    (3w)^l of them, w = 2g(g - 1) being the slides per system.  So when B
+    = sum((3w)^l for l = 0 .. max_depth) is below max_nodes, no check can
+    fire and the verdict depends on max_depth alone: the goal is found
+    iff the depths of its three matrices in the per-system tree sum to at
+    most max_depth.  B is tested in closed form, and only when max_depth
+    is below max_nodes.bit_length(), since B >= 2^max_depth, so a huge
+    max_depth costs nothing.  Then ``compare`` does not walk.  It grows
+    the shared tree one complete layer at a time, in discovery order as
+    the walk does; with layers 0 .. d complete, a goal in the table is
+    placed at its layer.  Otherwise a slide neighbour of the goal in the
+    table lies in layer d, so the goal lies in layer d + 1; layers are
+    expanded in id order, so its tree parent is its neighbour of the
+    smallest id, and its move is that neighbour's index with the sign
+    flipped, k ^ 1 in ``_slid_rows`` order.  A goal is slid once, and
+    only while fewer goals are pending than layer d has states, and the
+    verdict is UNKNOWN as soon as the placed depths plus d + 1 per
+    pending goal (d + 2 once its neighbours missed) exceed max_depth;
+    so no call slides more states than the walk would, and the growth
+    stops one layer short of each goal.  The certificate is decoded as
+    the walk's.  The goal's slides need no wider slot.  Their entries
+    can reach twice the goal's, past the slots, but a row with entries
+    below 2^b in magnitude packs to 0 only if it is 0, table states
+    have entries of at most 2^(b - 2), and goals below 2^(b - 1).  So a
+    row a slid goal shares with the goal packs like a table state's
+    row only if equal to it.  Its target row is the goal's plus or minus
+    one of those rows, so its entries are below 2^(b - 1) + 2^(b - 2),
+    and the same holds: a slid goal packs like a table state only if it
+    is that state.
+
     At g >= 2 the slide graph of SL(g, Z)^3 is infinite and connected
     with finite degrees, so every breadth-first layer is nonempty, and the search
     stops only at the goal, at max_nodes or at max_depth.
@@ -434,6 +472,11 @@ def compare(
     bits = max(3, min(max_depth + 2, max_nodes.bit_length() + 1))
     if any(abs(e) >= 1 << bits - 1 for m in transitions for r in m.entries for e in r):
         return EquivalenceVerdict(UNKNOWN)
+    # no budget check can fire when the nodes within max_depth slides, at
+    # most sum(fan^l) = (fan^(max_depth + 1) - 1) / (fan - 1), are fewer
+    # than max_nodes; that sum is at least 2^max_depth
+    fan = 3 * width  # a node's slides
+    free = max_depth < max_nodes.bit_length() and fan ** (max_depth + 1) <= (fan - 1) * max_nodes
 
     def pack(rows):
         return tuple(sum(e << bits * j for j, e in enumerate(r)) for r in rows)
@@ -444,13 +487,10 @@ def compare(
     up = [(0, 0)]  # per state: (tree parent, move index); the identity's is unused
     first = [1]  # an expanded state s has the children first[s] .. first[s + 1] - 1
     want = [pack(m.entries) for m in transitions]
-    goal = ()  # the goal's ids, once the table holds all three
-    home, hx = None, -1  # the goal's tree parent: (i, base) of its run, and x
 
-    def expand(s):
+    def grow(s):
         # expand states in discovery order through s: a state's tree parent
         # is the state whose slides found it first
-        nonlocal goal, home, hx
         while len(first) <= s + 1:
             t = len(first) - 1
             for k, m in enumerate(_slid_rows(states[t])):
@@ -459,6 +499,43 @@ def compare(
                     states.append(m)
                     up.append((t, k))
             first.append(len(states))
+
+    if free:
+        # the table holds layers 0 .. d, layer d from lo; at[j] is system
+        # j's goal id, or (tree parent, move) one layer past the table
+        at, near, reach, lo, d = [None] * 3, [None] * 3, 0, 0, 0
+        while True:
+            hi = len(states)
+            for j, m in enumerate(want):
+                if at[j] is None and m in ids:
+                    at[j], reach = ids[m], reach + d
+            pending = [j for j in range(3) if at[j] is None]
+            if reach + len(pending) * (d + 1) > max_depth:
+                return EquivalenceVerdict(UNKNOWN)
+            checked = len(pending) < hi - lo  # fewer slides than the layer's
+            for j in pending if checked else ():
+                near[j] = near[j] or tuple(_slid_rows(want[j]))  # once per call
+                hits = [(ids[m], k ^ 1) for k, m in enumerate(near[j]) if m in ids]
+                if hits:  # in layer d: the first found is the tree parent
+                    at[j], reach = min(hits), reach + d + 1
+            pending = [j for j in pending if at[j] is None]
+            if not pending:
+                for j, s in enumerate(at):
+                    if type(s) is tuple:
+                        at[j] = len(up)
+                        up.append(s)
+                return EquivalenceVerdict(SLIDE_EQUIVALENT, certificate=_certificate(up, at, g))
+            if reach + len(pending) * (d + 1 + checked) > max_depth:
+                return EquivalenceVerdict(UNKNOWN)
+            grow(hi - 1)
+            lo, d = hi, d + 1
+
+    goal = ()  # the goal's ids, once the table holds all three
+    home, hx = None, -1  # the goal's tree parent: (i, base) of its run, and x
+
+    def expand(s):
+        nonlocal goal, home, hx
+        grow(s)
         if not goal and all(m in ids for m in want):
             goal = tuple(ids[m] for m in want)
             p, gi = list(goal), _last(goal)

@@ -24,8 +24,17 @@ the goal under the cap, ``compare`` also runs at max_depth 10**6 and
 max_nodes 10**18, where the slot width is the widest the node budget
 gives, and must return the oracle's verdict and certificate.
 
+A third leg checks the answer by depth alone.  For every pair whose
+oracle, at max_depth the word's length, returns under the cap, so that
+its verdict is the one at every larger budget, ``compare`` also runs at
+that depth and at max_nodes B + 1, B being ``test_budget_free.bound``,
+the most nodes within that many slides; there no node budget can bind,
+and it must return the oracle's verdict and certificate.  A pair past
+the cap is left out of both later legs: its search can grow millions of
+states.
+
 Run as a script; it prints each mismatch and a summary line per leg and
-exits 1 if any pair differs in either:
+exits 1 if any pair differs in any leg:
 
     PYTHONPATH=src python tests/compare_sweep.py [PAIRS] [SEED]
 
@@ -43,6 +52,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import trisect  # noqa: E402
 from trisect import IDENTICAL, LABELS, SLIDE_EQUIVALENT, compare  # noqa: E402
 
+from test_budget_free import bound  # noqa: E402
 from test_tree_walk import CAP, _base, _slide_word, oracle_compare  # noqa: E402
 
 validations = []  # the diagrams passed to diagram.validate during one pair
@@ -64,10 +74,10 @@ def _count_validations():
 
 def sweep(pairs: int = 3000, seed: int = 0) -> int:
     """Compare ``pairs`` seeded pairs; print each mismatch and a summary
-    per leg, and return the number of mismatches in both legs."""
+    per leg, and return the number of mismatches in all three legs."""
     _count_validations()
     rng = random.Random(seed)
-    mismatches = found = generous = carried = identical = 0
+    mismatches = found = generous = carried = identical = by_depth = depth_mismatches = 0
     for n in range(pairs):
         genus, length = rng.randint(2, 5), rng.randint(1, 6)
         system = rng.choice((None,) + LABELS)
@@ -101,6 +111,16 @@ def sweep(pairs: int = 3000, seed: int = 0) -> int:
                 print(f"mismatch: pair {n}, genus {genus}, max_depth {depth}, "
                       f"max_nodes {nodes}: {got} against {want}")
                 break
+        count = []
+        want = oracle_compare(d, e, max_depth=length, max_nodes=CAP, count=count)
+        if not count or count[0] < CAP:  # B + 1 > count: the same verdict
+            by_depth += 1
+            nodes = bound(genus, length) + 1
+            verdict = compare(cd, ce, max_depth=length, max_nodes=nodes)
+            if verdict != want:
+                depth_mismatches += 1
+                print(f"mismatch: pair {n}, genus {genus}, max_depth {length}, "
+                      f"max_nodes {nodes}: {verdict} against {want}")
         # the first compare validates cd; no call may validate ce or cd again
         validated = sum(v is cd or v is ce for v in validations)
         if validated != 1:
@@ -112,7 +132,9 @@ def sweep(pairs: int = 3000, seed: int = 0) -> int:
     print(f"{pairs} pairs, {mismatches} mismatches, {carried} carried the first report, "
           f"{identical} answered identical")
     print(f"{found} found goals at max_depth 10**6, max_nodes 10**18, {generous} mismatches")
-    return mismatches + generous
+    print(f"{by_depth} pairs at max_depth the word's length, max_nodes B + 1, "
+          f"{depth_mismatches} mismatches")
+    return mismatches + generous + depth_mismatches
 
 
 if __name__ == "__main__":
